@@ -1,7 +1,8 @@
 """The learned instruction attacker.
 
-The attacker owns its instruction encoder (never shared with the victim)
-and always encodes the original instruction.  Each step it scores every
+The attacker owns its instruction encoder parameters (the navigator's
+BiLSTM form, never shared with the victim) and always encodes the original
+instruction.  Each step it scores every
 (target word, candidate word) pair: a word-importance distribution over
 targets driven by the current attended visual feature, a per-target
 substitution-impact distribution over that target's candidates, and a final
@@ -19,7 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tape, Tensor
 from .instruct import AttackAction, Instruction
-from .navigator import ModelDims, make_embedding
+from .navigator import ModelDims, encode_tokens, init_encoder_params
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,7 @@ class Attacker:
     @classmethod
     def create(cls, rng, vocab, dims: ModelDims, dtype=np.float32):
         d = dims
-        half = d.d_w // 2
-        p = {"embed": make_embedding(rng, vocab, d.d_w, dtype=dtype)}
-        p.update(dc.init_lstm_params(rng, d.d_w, half, prefix="enc_f.", dtype=dtype))
-        p.update(dc.init_lstm_params(rng, d.d_w, half, prefix="enc_b.", dtype=dtype))
+        p = init_encoder_params(rng, vocab, d.d_w, dtype=dtype)
         p["w_w"] = dc.init_uniform(rng, (d.d_w, d.d_p), dtype=dtype)
         p["w_v"] = dc.init_uniform(rng, (d.d_v, d.d_p), dtype=dtype)
         p["w_wp"] = dc.init_uniform(rng, (d.d_w, d.d_p), dtype=dtype)
@@ -71,24 +69,7 @@ class Attacker:
 
     def encode(self, tape: Optional[Tape], instr: Instruction) -> AttackerEncoding:
         """Encode the original instruction once per episode."""
-        p = self.params
-        half = self.dims.d_w // 2
-        tokens = instr.tokens
-        embs = [dc.embedding(tape, p["embed"], (t,)) for t in tokens]
-
-        def run(direction, prefix):
-            h = dc.zeros((1, half), dtype=self.dtype)
-            c = dc.zeros((1, half), dtype=self.dtype)
-            outs = [None] * len(tokens)
-            for i in direction:
-                h, c = dc.lstm_cell(tape, embs[i], h, c, p, prefix=prefix)
-                outs[i] = h
-            return outs
-
-        fwd = run(range(len(tokens)), "enc_f.")
-        bwd = run(range(len(tokens) - 1, -1, -1), "enc_b.")
-        rows = [dc.concat(tape, [f, b], axis=1) for f, b in zip(fwd, bwd)]
-        u = dc.concat(tape, rows, axis=0) if len(rows) > 1 else rows[0]
+        u = encode_tokens(tape, self.params, instr.tokens)
         f_w = dc.gather_rows(tape, u, list(instr.target_set))
         cand_feats = tuple(
             dc.gather_rows(tape, u, [c.source_pos for c in cands]) if cands else None
@@ -121,8 +102,7 @@ class Attacker:
             cj = dc.matmul(tape, enc.cand_feats[j], p["w_wp"])
             gamma_j = dc.softmax(tape, dc.rowdot(tape, cj, pw_j))
             beta_j = dc.gather_rows(tape, beta, [j])
-            ones = Tensor(np.ones((len(cands), 1)), dtype=self.dtype)
-            chunks.append(dc.multiply(tape, gamma_j, dc.matmul(tape, ones, beta_j)))
+            chunks.append(dc.matmul(tape, gamma_j, beta_j))   # (K_j,1) @ (1,1)
             gammas.append(gamma_j.values.reshape(-1))
             index_map.extend((j, k) for k in range(len(cands)))
 

@@ -369,14 +369,8 @@ def attend(tape, weights, rows):
 
 
 def gather_rows(tape, x, indices):
-    """Select rows of ``x`` by index via a constant one-hot selector."""
-    n = x.values.shape[0]
-    sel = np.zeros((len(indices), n), dtype=x.dtype)
-    for r, i in enumerate(indices):
-        if not 0 <= i < n:
-            raise EngineError(f"gather_rows: index {i} out of range {n}")
-        sel[r, i] = 1.0
-    return matmul(tape, Tensor._wrap(sel), x)
+    """Select rows of ``x`` by index: an ``embedding`` lookup into ``x``."""
+    return embedding(tape, x, indices)
 
 
 def affine(tape, x, w, b):

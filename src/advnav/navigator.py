@@ -74,17 +74,45 @@ class NavStepOutput:
     p_c: Tensor               # attacked-word distribution over targets
 
 
-def make_embedding(rng, vocab, d_w, dtype=np.float32):
-    """Word embedding table; landmark words start from the same planted
-    lexical vectors the synthetic views carry (the pretrained-embedding
-    analog), other words start uniform."""
+def init_encoder_params(rng, vocab, d_w, dtype=np.float32) -> dict:
+    """Word embedding plus both directions of the BiLSTM encoder.
+
+    ``vocab`` is either a Vocabulary or a plain table size.  Landmark words
+    start from the same planted lexical vectors the synthetic views carry
+    (the pretrained-embedding analog), other words start uniform."""
     size = vocab if isinstance(vocab, int) else len(vocab)
     table = rng.uniform(-1.0 / np.sqrt(d_w), 1.0 / np.sqrt(d_w), size=(size, d_w))
     if not isinstance(vocab, int):
         for t in range(size):
             if vocab.is_landmark(t):
                 table[t] = landmark_feature(vocab.word(t), d_w)
-    return Tensor(table, dtype=dtype)
+    p = {"embed": Tensor(table, dtype=dtype)}
+    p.update(dc.init_lstm_params(rng, d_w, d_w // 2, prefix="enc_f.", dtype=dtype))
+    p.update(dc.init_lstm_params(rng, d_w, d_w // 2, prefix="enc_b.", dtype=dtype))
+    return p
+
+
+def encode_tokens(tape: Optional[Tape], params: dict, tokens) -> Tensor:
+    """Embed ``tokens`` and run both recurrence directions -> (L, d_w) rows."""
+    if len(tokens) == 0:
+        raise ValueError("cannot encode an empty instruction")
+    embed = params["embed"]
+    half = embed.values.shape[1] // 2
+    embs = [dc.embedding(tape, embed, (t,)) for t in tokens]
+
+    def run(direction, prefix):
+        h = dc.zeros((1, half), dtype=embed.dtype)
+        c = dc.zeros((1, half), dtype=embed.dtype)
+        outs = [None] * len(tokens)
+        for i in direction:
+            h, c = dc.lstm_cell(tape, embs[i], h, c, params, prefix=prefix)
+            outs[i] = h
+        return outs
+
+    fwd = run(range(len(tokens)), "enc_f.")
+    bwd = run(range(len(tokens) - 1, -1, -1), "enc_b.")
+    rows = [dc.concat(tape, [f, b], axis=1) for f, b in zip(fwd, bwd)]
+    return dc.concat(tape, rows, axis=0) if len(rows) > 1 else rows[0]
 
 
 class Navigator:
@@ -99,10 +127,7 @@ class Navigator:
         """``vocab`` is either a Vocabulary (landmark rows get planted
         vectors) or a plain table size."""
         d = dims
-        half = d.d_w // 2
-        p = {"embed": make_embedding(rng, vocab, d.d_w, dtype=dtype)}
-        p.update(dc.init_lstm_params(rng, d.d_w, half, prefix="enc_f.", dtype=dtype))
-        p.update(dc.init_lstm_params(rng, d.d_w, half, prefix="enc_b.", dtype=dtype))
+        p = init_encoder_params(rng, vocab, d.d_w, dtype=dtype)
         p.update(dc.init_lstm_params(rng, 2 * d.d_v, d.d_h, prefix="dec.", dtype=dtype))
         p["w_u"] = dc.init_uniform(rng, (d.d_w, d.d_h), dtype=dtype)
         p["w_vp"] = dc.init_uniform(rng, (d.d_v, d.d_h), dtype=dtype)
@@ -121,25 +146,7 @@ class Navigator:
 
     def encode(self, tape: Optional[Tape], tokens, target_set=()) -> EncodedInstruction:
         """Embed tokens and run both recurrence directions; gather target rows."""
-        if len(tokens) == 0:
-            raise ValueError("cannot encode an empty instruction")
-        p = self.params
-        half = self.dims.d_w // 2
-        embs = [dc.embedding(tape, p["embed"], (t,)) for t in tokens]
-
-        def run(direction, prefix):
-            h = dc.zeros((1, half), dtype=self.dtype)
-            c = dc.zeros((1, half), dtype=self.dtype)
-            outs = [None] * len(tokens)
-            for i in direction:
-                h, c = dc.lstm_cell(tape, embs[i], h, c, p, prefix=prefix)
-                outs[i] = h
-            return outs
-
-        fwd = run(range(len(tokens)), "enc_f.")
-        bwd = run(range(len(tokens) - 1, -1, -1), "enc_b.")
-        rows = [dc.concat(tape, [f, b], axis=1) for f, b in zip(fwd, bwd)]
-        u = dc.concat(tape, rows, axis=0) if len(rows) > 1 else rows[0]
+        u = encode_tokens(tape, self.params, tokens)
         f_w = dc.gather_rows(tape, u, list(target_set)) if target_set else None
         return EncodedInstruction(u=u, f_w=f_w, target_set=tuple(target_set),
                                   tokens=tuple(tokens))

@@ -513,6 +513,17 @@ def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None,
     return diag, res_rl
 
 
+def attacker_update(item, nav, att, att_value, acfg, rng, opt_state=None):
+    """One attacker update against the frozen greedy navigator; ``acfg`` is
+    the attacker's config (``TrainConfig.for_attacker``)."""
+    res = rollout_episode(item, nav, att, "att_learn", rng, acfg,
+                          att_value=att_value)
+    returns, advs = compute_returns(res.att_buffer, acfg.gamma)
+    diag = a2c_update(res.tape, res.att_buffer, returns, advs,
+                      att.params, att_value.params, acfg, opt_state=opt_state)
+    return diag, res
+
+
 def train_navigator(items, nav, nav_value, cfg, rng, iters, att=None,
                     stage="pretrain_nav", log_fn=None, val_items=None,
                     val_every=500, val_att=None):
@@ -563,11 +574,7 @@ def train_attacker(items, nav, att, att_value, cfg, rng, iters,
         item = _pick(items, rng)
         if not item.instruction.attackable:
             continue
-        res = rollout_episode(item, nav, att, "att_learn", rng, acfg,
-                              att_value=att_value)
-        returns, advs = compute_returns(res.att_buffer, acfg.gamma)
-        diag = a2c_update(res.tape, res.att_buffer, returns, advs,
-                          att.params, att_value.params, acfg, opt_state=opt_state)
+        diag, res = attacker_update(item, nav, att, att_value, acfg, rng, opt_state)
         if log_fn:
             log_fn({"stage": stage, "iteration": it, "player": "att",
                     "reward": sum(res.att_buffer.rewards),
@@ -635,11 +642,7 @@ def adversarial_train(items, nav, att, nav_value, att_value, cfg, rng,
             if not item.instruction.attackable:
                 update_log.append("pi")
                 continue
-            res = rollout_episode(item, nav, att, "att_learn", rng, acfg,
-                                  att_value=att_value)
-            returns, advs = compute_returns(res.att_buffer, acfg.gamma)
-            diag = a2c_update(res.tape, res.att_buffer, returns, advs,
-                              att.params, att_value.params, acfg, opt_state=att_opt)
+            diag, res = attacker_update(item, nav, att, att_value, acfg, rng, att_opt)
             update_log.append("pi")
             if log_fn:
                 log_fn({"stage": "adversarial", "round": rnd, "iteration": j,

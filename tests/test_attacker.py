@@ -7,7 +7,7 @@ from advnav import instruct as ins
 from advnav import world as w
 from advnav.attacker import Attacker, select_attack
 from advnav.diffcore import Tape, Tensor, backward, max_rel_error, numeric_gradient
-from advnav.navigator import ModelDims
+from advnav.navigator import ModelDims, Navigator
 
 DIMS = ModelDims(d_w=8, d_v=6, d_p=5, d_h=7)
 
@@ -173,3 +173,20 @@ def test_log_prob_gradients_match_finite_differences(vocab):
                                [att.params[n] for n in names])
     for n, num in zip(names, numeric):
         assert max_rel_error(analytic[n], num) < 1e-4, n
+
+
+def test_navigator_and_attacker_share_one_encoder(vocab):
+    att = make_attacker(2)
+    nav = Navigator.create(np.random.default_rng(3), len(vocab), DIMS)
+    for k, v in att.params.items():
+        if k == "embed" or k.startswith("enc_"):
+            nav.params[k] = v
+    instr = instr_of(vocab, "go to the table in the kitchen with the sofa")
+    u_att = att.encode(None, instr).u.values
+    u_nav = nav.encode(None, instr.tokens, instr.target_set).u.values
+    assert np.array_equal(u_att, u_nav)
+    # both creators draw the encoder first, in the same order
+    fresh = Navigator.create(np.random.default_rng(2), len(vocab), DIMS)
+    for k, v in att.params.items():
+        if k == "embed" or k.startswith("enc_"):
+            assert np.array_equal(fresh.params[k].values, v.values), k

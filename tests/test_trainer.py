@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import straightline as sl
+from legacy_ops import legacy_numerics
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import trainer as tr
@@ -305,3 +306,20 @@ def test_training_is_deterministic_for_fixed_seed():
         return params_digest(nav.params)
 
     assert run() == run()
+
+
+def test_adversarial_train_reproduces_pinned_digests(monkeypatch):
+    # Digests of this run as first recorded (numpy 2.4.6, OpenBLAS, x86-64).
+    # With the earlier float compositions swapped back in, the shared encoder,
+    # the single attacker update, the row lookups and the one-op attack score
+    # must reproduce them bit for bit.
+    legacy_numerics(monkeypatch)
+    items = make_items(n_worlds=1, episodes=3)
+    nav, att, nav_val, att_val = make_models(seed=7)
+    cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
+    tr.adversarial_train(items, nav, att, nav_val, att_val, cfg,
+                         np.random.default_rng(42))
+    assert params_digest(nav.params) == \
+        "8ef3ddadb56859b8bc976b2aabd3559156e7b49ec776c8814a59314b3bef8e7a"
+    assert params_digest(att.params) == \
+        "426c83733086bfb878699f1c6da8e68c40bc4c9bd54e84f45b170d9e891f4fdf"
