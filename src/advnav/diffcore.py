@@ -177,19 +177,22 @@ def _embed_backward(ctx, g, out, table):
     return [gt]
 
 
-def _sigmoid(ctx, x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _matmul_forward(ctx, a, b):
+    ta, tb = ctx
+    return (a.T if ta else a) @ (b.T if tb else b)
+
+
+def _matmul_backward(ctx, g, out, a, b):
+    ta, tb = ctx
+    ga = g @ b if tb else g @ b.T
+    gb = (a if ta else a.T) @ g
+    return [ga.T if ta else ga, gb.T if tb else gb]
 
 
 PRIMITIVES = {
-    "matmul": (
-        lambda ctx, a, b: a @ b,
-        lambda ctx, g, out, a, b: [g @ b.T, a.T @ g],
+    "matmul": (          # ctx: (transpose a, transpose b)
+        _matmul_forward,
+        _matmul_backward,
     ),
     "add": (
         lambda ctx, a, b: a + b,
@@ -211,8 +214,8 @@ PRIMITIVES = {
         lambda ctx, x: np.tanh(x),
         lambda ctx, g, out, x: [g * (1.0 - out * out)],
     ),
-    "sigmoid": (
-        _sigmoid,
+    "sigmoid": (         # the tanh form cannot overflow
+        lambda ctx, x: 0.5 * (np.tanh(0.5 * x) + 1.0),
         lambda ctx, g, out, x: [g * out * (1.0 - out)],
     ),
     "embedding": (
@@ -260,7 +263,7 @@ def _check_same_shape(op, a, b):
 def matmul(tape, a, b):
     if a.values.shape[1] != b.values.shape[0]:
         raise EngineError(f"matmul: inner dims {a.values.shape} @ {b.values.shape}")
-    return _apply(tape, "matmul", (a, b))
+    return _apply(tape, "matmul", (a, b), (False, False))
 
 
 def add(tape, a, b):
@@ -340,32 +343,25 @@ def zeros(shape, dtype=np.float32, name=None):
     return Tensor._wrap(np.zeros(shape, dtype=dtype), name=name)
 
 
-def _ones(shape, dtype):
-    return Tensor._wrap(np.ones(shape, dtype=dtype))
-
-
 def rowdot(tape, a, b):
     """Per-row dot products of ``a`` (n,d) against the row vector ``b`` (1,d).
 
-    Returns an (n,1) column of scores: the ``X @ bᵀ`` pattern behind every
-    bilinear attention score, built from tile / multiply / reduce matmuls.
+    Returns the (n,1) column ``a @ bᵀ``: the pattern behind every bilinear
+    attention score, as one matmul with ``b`` transposed.
     """
     n, d = a.values.shape
     if b.values.shape != (1, d):
         raise EngineError(f"rowdot: {a.values.shape} vs {b.values.shape}")
-    tiled = matmul(tape, _ones((n, 1), a.dtype), b)
-    prod = multiply(tape, a, tiled)
-    return matmul(tape, prod, _ones((d, 1), a.dtype))
+    return _apply(tape, "matmul", (a, b), (False, True))
 
 
 def attend(tape, weights, rows):
-    """Weighted sum of ``rows`` (n,d) by the column ``weights`` (n,1) -> (1,d)."""
+    """Weighted sum ``weightsᵀ @ rows`` of ``rows`` (n,d) by the column
+    ``weights`` (n,1) -> (1,d), as one matmul with ``weights`` transposed."""
     n, d = rows.values.shape
     if weights.values.shape != (n, 1):
         raise EngineError(f"attend: {weights.values.shape} vs {rows.values.shape}")
-    tiled = matmul(tape, weights, _ones((1, d), rows.dtype))
-    prod = multiply(tape, tiled, rows)
-    return matmul(tape, _ones((1, n), rows.dtype), prod)
+    return _apply(tape, "matmul", (weights, rows), (True, False))
 
 
 def gather_rows(tape, x, indices):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import legacy_ops
 from advnav import diffcore as dc
 from advnav.diffcore import (
     EngineError, Tape, Tensor, add, attend, backward, concat, constant,
@@ -292,3 +293,79 @@ def test_init_uniform_bounds():
     bound = 1.0 / np.sqrt(16)
     assert np.all(np.abs(t.values) <= bound)
     assert t.values.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# parity of the one-op forms with the earlier compositions (float64)
+
+def _value_and_grads(op, inputs, weights):
+    t = Tape()
+    out = op(t, *inputs)
+    loss = sum_reduce(t, multiply(t, out, constant(weights, dtype=np.float64)))
+    zero_grads(inputs)
+    backward(t, loss)
+    return out.values.copy(), [x.grad.copy() for x in inputs]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rowdot_and_attend_match_earlier_compositions(seed):
+    rng = np.random.default_rng(40 + seed)
+    n, d = 5, 4
+    a = constant(rng.normal(size=(n, d)), dtype=np.float64)
+    b = constant(rng.normal(size=(1, d)), dtype=np.float64)
+    w = constant(rng.uniform(size=(n, 1)), dtype=np.float64)
+    cases = [(rowdot, legacy_ops.rowdot, (a, b), (n, 1)),
+             (attend, legacy_ops.attend, (w, a), (1, d))]
+    for new, old, inputs, shape in cases:
+        weights = rng.normal(size=shape)
+        out_new, grads_new = _value_and_grads(new, inputs, weights)
+        out_old, grads_old = _value_and_grads(old, inputs, weights)
+        np.testing.assert_allclose(out_new, out_old, rtol=1e-12, atol=1e-14)
+        for gn, go in zip(grads_new, grads_old):
+            np.testing.assert_allclose(gn, go, rtol=1e-12, atol=1e-14)
+    t = Tape()
+    rowdot(t, a, b)
+    attend(t, w, a)
+    assert [e.op for e in t.entries] == ["matmul", "matmul"]
+
+
+def test_sigmoid_matches_earlier_form_without_fp_warnings():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 161), [-1e4, 1e4, 0.0]])
+    for dtype in (np.float64, np.float32):
+        xt = constant(x.reshape(1, -1), dtype=dtype)
+        with np.errstate(all="raise"):
+            out = sigmoid(None, xt).values
+        assert out.dtype == dtype
+        old = legacy_ops.sigmoid_forward(None, xt.values)
+        # the tanh form keeps absolute, not relative, precision near 0
+        np.testing.assert_allclose(out, old, rtol=0,
+                                   atol=4 * np.finfo(dtype).eps)
+    assert out[0, -3] == 0.0 and out[0, -2] == 1.0 and out[0, -1] == 0.5
+
+    xt = constant(np.linspace(-6.0, 6.0, 13).reshape(1, -1), dtype=np.float64)
+    weights = np.random.default_rng(9).normal(size=(1, 13))
+    out_new, (g_new,) = _value_and_grads(sigmoid, [xt], weights)
+    np.testing.assert_allclose(out_new, legacy_ops.sigmoid_forward(None, xt.values),
+                               rtol=1e-14)
+    np.testing.assert_allclose(g_new, weights * out_new * (1 - out_new), rtol=1e-13)
+
+
+@pytest.mark.parametrize("flags", [(False, False), (False, True),
+                                   (True, False), (True, True)])
+def test_matmul_transpose_flags_match_finite_differences(flags):
+    fwd, bwd = dc.PRIMITIVES["matmul"]
+    rng = np.random.default_rng(sum(2 ** i for i, f in enumerate(flags) if f))
+    m, k, n = 3, 4, 2
+    a = Tensor(rng.normal(size=(k, m) if flags[0] else (m, k)), dtype=np.float64)
+    b = Tensor(rng.normal(size=(n, k) if flags[1] else (k, n)), dtype=np.float64)
+    out = fwd(flags, a.values, b.values)
+    a_mat = a.values.T if flags[0] else a.values
+    b_mat = b.values.T if flags[1] else b.values
+    np.testing.assert_allclose(out, a_mat @ b_mat, rtol=1e-12)
+    weights = rng.normal(size=(m, n))
+    analytic = bwd(flags, weights, out, a.values, b.values)
+    numeric = numeric_gradient(
+        lambda: float(np.sum(weights * fwd(flags, a.values, b.values))), [a, b])
+    for an, nu, t in zip(analytic, numeric, (a, b)):
+        assert an.shape == t.shape
+        assert max_rel_error(an, nu) < 1e-6
