@@ -2,12 +2,12 @@
 
 The attacker owns its instruction encoder parameters (the navigator's
 BiLSTM form, never shared with the victim) and always encodes the original
-instruction.  Each step it scores every
-(target word, candidate word) pair: a word-importance distribution over
-targets driven by the current attended visual feature, a per-target
-substitution-impact distribution over that target's candidates, and a final
-joint distribution over all valid pairs from the elementwise product of the
-two.  Invalid (padded) cells carry exactly zero probability.
+instruction.  Each step it scores every (target word, candidate word) pair:
+a word-importance distribution over targets driven by the current attended
+visual feature, a per-target substitution-impact distribution over that
+target's candidates, and a final joint distribution over all valid pairs
+from the elementwise product of the two.  Invalid (padded) cells carry
+exactly zero probability.
 """
 
 from __future__ import annotations

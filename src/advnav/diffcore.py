@@ -2,16 +2,16 @@
 
 The engine is deliberately tiny.  A ``Tensor`` wraps a numpy array plus an
 optional same-shape gradient buffer, and a ``Tape`` records every primitive
-application in execution order.  Replaying a tape with the same inputs is
-bit-exact, and walking it backwards accumulates gradients into every tensor
-that contributed to a scalar loss.
+application in execution order.  Walking a tape backwards accumulates
+gradients into every tensor that contributed to a scalar loss.
 
-The primitive set is closed: matrix multiply, elementwise add/multiply,
-concatenate, row/full softmax (with an optional validity mask), tanh,
-sigmoid, embedding lookup, scalar scale, sum-reduce and
-cross-entropy-with-target.  Everything the models need (bilinear attention
-scores, weighted sums, gated recurrences) is composed from these; see
-``rowdot``/``attend``/``lstm_cell``.
+The primitive set is closed: matrix multiply (either operand optionally
+transposed), elementwise add/multiply, concatenate, row/full softmax (with
+an optional validity mask), tanh, sigmoid, embedding (row lookup), scalar
+scale, sum-reduce and cross-entropy-with-target.  Everything the models
+need (bilinear attention scores, weighted sums, row gathers, gated
+recurrences) is composed from these; see ``rowdot``/``attend``/
+``gather_rows``/``lstm_cell``.
 
 Tensors are float32 by default and reductions accumulate in float64 before
 casting back.  Gradient checks should build float64 tensors instead, so
@@ -57,6 +57,8 @@ class Tensor:
         return self.values.dtype
 
     def item(self):
+        if self.values.size != 1:
+            raise EngineError(f"item: tensor of shape {self.values.shape} is not a scalar")
         return float(self.values.reshape(-1)[0])
 
     def accumulate_grad(self, g):
@@ -82,8 +84,10 @@ class TapeEntry:
 class Tape:
     """Execution-ordered record of primitive applications.
 
-    A tape and the tensors it produced are confined to a single thread;
-    distinct tapes may run concurrently against read-shared parameters.
+    A tape and the tensors it produced are confined to a single thread.
+    Distinct tapes may run their forward passes concurrently against
+    read-shared parameters, but not ``backward``: it accumulates into the
+    parameters' shared ``Tensor.grad`` buffers.
     """
 
     __slots__ = ("entries",)
@@ -411,43 +415,7 @@ def init_lstm_params(rng, input_dim, hidden_dim, prefix="", dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# tape execution
-
-def evaluate(tape, inputs=None):
-    """Rebind named leaf tensors, then recompute every entry in tape order.
-
-    Replaying without new inputs reproduces all recorded outputs bit-for-bit.
-    Returns the named tensors produced by tape entries.
-    """
-    produced = {id(e.output) for e in tape.entries}
-    leaves = {}
-    for e in tape.entries:
-        for t in e.inputs:
-            if t.name is not None and id(t) not in produced:
-                leaves[t.name] = t
-    for name, arr in (inputs or {}).items():
-        if name not in leaves:
-            raise EngineError(f"evaluate: no leaf input named {name!r}")
-        leaf = leaves[name]
-        arr = np.asarray(arr, dtype=leaf.dtype)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.shape != leaf.values.shape:
-            raise EngineError(f"evaluate: input {name!r} shape {arr.shape} "
-                              f"!= {leaf.values.shape}")
-        leaf.values = arr
-    outputs = {}
-    for i, e in enumerate(tape.entries):
-        if e.op not in PRIMITIVES:
-            raise EngineError(f"evaluate: unknown primitive {e.op!r} at entry {i}")
-        try:
-            e.output.values = PRIMITIVES[e.op][0](e.ctx, *[t.values for t in e.inputs])
-        except EngineError as exc:
-            raise EngineError(f"entry {i} ({e.op}): {exc}") from exc
-        if e.output.name is not None:
-            outputs[e.output.name] = e.output
-    return outputs
-
+# backward pass
 
 def backward(tape, loss):
     """Accumulate d(loss)/d(leaf) into ``.grad`` for every contributing leaf.

@@ -89,9 +89,6 @@ class AttackAction(NamedTuple):
     target_index: int       # j in [0, L')
     candidate_index: int    # k in [0, K_j)
 
-    def flat_index(self, k_max: int) -> int:
-        return self.target_index * k_max + self.candidate_index
-
 
 @dataclass(frozen=True)
 class Instruction:

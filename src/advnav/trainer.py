@@ -58,7 +58,6 @@ class TrainConfig:
     n_pi: int = 10              # attacker updates per alternation round
     n_iter: int = 0             # alternation rounds; 0 derives from iters_adversarial
     grad_clip: float = 5.0
-    nav_reward: str = "zero_sum"   # or "progress_delta"
     value_hidden: int = 32
     seed: int = 0
 
@@ -257,10 +256,7 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
 
         ep_next = wd.step(ep, action_nav)
         r_att = wd.attacker_reward(ep, ep_next)
-        if cfg.nav_reward == "progress_delta":
-            r_nav = wd.progress_reward(ep, ep_next)
-        else:
-            r_nav = -r_att
+        r_nav = -r_att
 
         nav_tr = Transition(state=s_t, action=action_nav, reward=r_nav,
                             teacher=teacher, use_rl=not nav_teacher)

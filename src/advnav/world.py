@@ -312,18 +312,6 @@ def navigator_reward(ep_before: Episode, ep_after: Episode) -> float:
     return -attacker_reward(ep_before, ep_after)
 
 
-def progress_reward(ep_before: Episode, ep_after: Episode) -> float:
-    """Alternative navigator reward: signed distance progress, +-3 terminal."""
-    _check_adjacent(ep_before, ep_after)
-    g = ep_before.world
-    if ep_after.done:
-        ne = geodesic_distance(g, ep_after.current, ep_after.goal)
-        return 3.0 if ne <= g.config.success_radius else -3.0
-    before = geodesic_distance(g, ep_before.current, ep_before.goal)
-    after = geodesic_distance(g, ep_after.current, ep_after.goal)
-    return before - after
-
-
 def _check_adjacent(ep_before: Episode, ep_after: Episode):
     stopped = (ep_after.trajectory == ep_before.trajectory and ep_after.done
                and ep_after.step_index == ep_before.step_index)

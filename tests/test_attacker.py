@@ -177,16 +177,14 @@ def test_log_prob_gradients_match_finite_differences(vocab):
 
 def test_navigator_and_attacker_share_one_encoder(vocab):
     att = make_attacker(2)
+    shared = [k for k in att.params if k == "embed" or k.startswith("enc_")]
     nav = Navigator.create(np.random.default_rng(3), len(vocab), DIMS)
-    for k, v in att.params.items():
-        if k == "embed" or k.startswith("enc_"):
-            nav.params[k] = v
+    nav.params.update({k: att.params[k] for k in shared})
     instr = instr_of(vocab, "go to the table in the kitchen with the sofa")
     u_att = att.encode(None, instr).u.values
     u_nav = nav.encode(None, instr.tokens, instr.target_set).u.values
     assert np.array_equal(u_att, u_nav)
     # both creators draw the encoder first, in the same order
     fresh = Navigator.create(np.random.default_rng(2), len(vocab), DIMS)
-    for k, v in att.params.items():
-        if k == "embed" or k.startswith("enc_"):
-            assert np.array_equal(fresh.params[k].values, v.values), k
+    for k in shared:
+        assert np.array_equal(fresh.params[k].values, att.params[k].values), k

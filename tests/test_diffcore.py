@@ -5,7 +5,7 @@ import legacy_ops
 from advnav import diffcore as dc
 from advnav.diffcore import (
     EngineError, Tape, Tensor, add, attend, backward, concat, constant,
-    cross_entropy, embedding, evaluate, gather_rows, init_lstm_params,
+    cross_entropy, embedding, gather_rows, init_lstm_params,
     init_uniform, lstm_cell, matmul, max_rel_error, multiply, numeric_gradient,
     rowdot, scale, sigmoid, softmax, sum_reduce, tanh, zero_grads,
 )
@@ -36,42 +36,12 @@ def test_random_tape_matches_hand_rolled():
     h = matmul(t, x, w)
     a = tanh(t, h)
     s = softmax(t, a, axis=1)
-    s.name = "out"
 
     expect = xv @ wv
     expect = np.tanh(expect)
     e = np.exp(expect - expect.max(axis=1, keepdims=True))
     expect = e / e.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(s.values, expect, atol=1e-6)
-
-    # replay with fresh inputs reuses the recorded graph
-    xv2 = rng.normal(size=(2, 3)).astype(np.float32)
-    outs = evaluate(t, {"x": xv2})
-    expect2 = np.tanh(xv2 @ wv)
-    e2 = np.exp(expect2 - expect2.max(axis=1, keepdims=True))
-    np.testing.assert_allclose(outs["out"].values, e2 / e2.sum(axis=1, keepdims=True),
-                               atol=1e-6)
-
-
-def test_replay_is_bit_exact():
-    rng = np.random.default_rng(11)
-    t = Tape()
-    x = constant(rng.normal(size=(3, 4)), name="x")
-    w = constant(rng.normal(size=(4, 4)))
-    y = softmax(t, tanh(t, matmul(t, x, w)), axis=1)
-    first = y.values.copy()
-    evaluate(t)
-    assert np.array_equal(first, y.values)
-
-
-def test_evaluate_rejects_bad_inputs():
-    t = Tape()
-    x = constant([[1.0, 2.0]], name="x")
-    tanh(t, x)
-    with pytest.raises(EngineError):
-        evaluate(t, {"nope": [[0.0, 0.0]]})
-    with pytest.raises(EngineError):
-        evaluate(t, {"x": [[0.0, 0.0, 0.0]]})
 
 
 def test_shape_mismatch_rejected():
@@ -82,6 +52,14 @@ def test_shape_mismatch_rejected():
         add(t, a, b)
     with pytest.raises(EngineError):
         matmul(t, a, b)
+
+
+def test_item_rejects_non_scalars():
+    assert constant([[2.5]]).item() == 2.5
+    with pytest.raises(EngineError):
+        constant([[3.0, 4.0]]).item()
+    with pytest.raises(EngineError):
+        Tensor(np.zeros((0, 1))).item()
 
 
 def test_backward_sum_gives_ones():
@@ -220,6 +198,11 @@ def test_gather_rows():
     x = constant(np.arange(12.0).reshape(4, 3))
     out = gather_rows(None, x, [2, 0])
     np.testing.assert_array_equal(out.values, x.values[[2, 0]])
+    t = Tape()
+    backward(t, sum_reduce(t, gather_rows(t, x, [1, 3, 1])))
+    np.testing.assert_array_equal(x.grad[:, 0], [0.0, 2.0, 0.0, 1.0])
+    with pytest.raises(EngineError):
+        gather_rows(None, x, [4])
 
 
 def test_lstm_cell_zero_params_halves_cell():
