@@ -1,50 +1,16 @@
-"""Parameter checkpoints: a JSON manifest plus a raw float32 blob.
+"""Parameter digests: a stable content hash of a parameter dict.
 
-The manifest lists (name, shape, byte offset) per parameter; the blob holds
-the concatenated little-endian float32 values in manifest order.  Loading
-reproduces the saved arrays bit-for-bit.
+The hash covers each parameter's name and its little-endian float32 values
+in sorted-name order, so equal digests mean bit-identical float32
+parameters.  The training loops use it to prove a frozen player stayed
+frozen.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
-
-from .diffcore import Tensor
-
-
-def save_params(params: dict, prefix) -> None:
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    manifest, chunks, offset = [], [], 0
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name].values, dtype="<f4")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(arr.tobytes())
-        offset += len(chunks[-1])
-    prefix.with_suffix(".bin").write_bytes(b"".join(chunks))
-    prefix.with_suffix(".json").write_text(
-        json.dumps({"params": manifest, "total_bytes": offset}, indent=2))
-
-
-def load_params(prefix) -> dict:
-    prefix = Path(prefix)
-    meta = json.loads(prefix.with_suffix(".json").read_text())
-    blob = prefix.with_suffix(".bin").read_bytes()
-    if len(blob) != meta["total_bytes"]:
-        raise ValueError(f"checkpoint blob is {len(blob)} bytes, "
-                         f"manifest expects {meta['total_bytes']}")
-    params = {}
-    for entry in meta["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count,
-                            offset=entry["offset"]).reshape(shape)
-        params[entry["name"]] = Tensor(arr.copy(), name=entry["name"])
-    return params
 
 
 def params_digest(params: dict) -> str:
@@ -54,8 +20,3 @@ def params_digest(params: dict) -> str:
         h.update(name.encode())
         h.update(np.ascontiguousarray(params[name].values, dtype="<f4").tobytes())
     return h.hexdigest()
-
-
-def checkpoint_exists(prefix) -> bool:
-    prefix = Path(prefix)
-    return prefix.with_suffix(".json").exists() and prefix.with_suffix(".bin").exists()

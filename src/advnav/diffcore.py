@@ -30,22 +30,20 @@ class EngineError(Exception):
 class Tensor:
     """Dense array with an optional gradient buffer of the same shape."""
 
-    __slots__ = ("values", "grad", "name")
+    __slots__ = ("values", "grad")
 
-    def __init__(self, values, name=None, dtype=np.float32):
+    def __init__(self, values, dtype=np.float32):
         arr = np.asarray(values, dtype=dtype)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         self.values = arr
         self.grad = None
-        self.name = name
 
     @classmethod
-    def _wrap(cls, arr, name=None):
+    def _wrap(cls, arr):
         t = object.__new__(cls)
         t.values = arr
         t.grad = None
-        t.name = name
         return t
 
     @property
@@ -67,8 +65,7 @@ class Tensor:
         self.grad += g
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.values.shape}{tag})"
+        return f"Tensor(shape={self.values.shape})"
 
 
 class TapeEntry:
@@ -339,12 +336,12 @@ def cross_entropy(tape, p, target):
 # ---------------------------------------------------------------------------
 # composed helpers (catalog-only compositions)
 
-def constant(values, name=None, dtype=np.float32):
-    return Tensor(values, name=name, dtype=dtype)
+def constant(values, dtype=np.float32):
+    return Tensor(values, dtype=dtype)
 
 
-def zeros(shape, dtype=np.float32, name=None):
-    return Tensor._wrap(np.zeros(shape, dtype=dtype), name=name)
+def zeros(shape, dtype=np.float32):
+    return Tensor._wrap(np.zeros(shape, dtype=dtype))
 
 
 def rowdot(tape, a, b):
@@ -398,11 +395,11 @@ def lstm_cell(tape, x, h_prev, c_prev, params, prefix=""):
     return h, c
 
 
-def init_uniform(rng, shape, fan_in=None, name=None, dtype=np.float32):
+def init_uniform(rng, shape, fan_in=None, dtype=np.float32):
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; fan_in defaults to rows."""
     fan = fan_in if fan_in is not None else shape[0]
     bound = 1.0 / np.sqrt(fan)
-    return Tensor(rng.uniform(-bound, bound, size=shape), name=name, dtype=dtype)
+    return Tensor(rng.uniform(-bound, bound, size=shape), dtype=dtype)
 
 
 def init_lstm_params(rng, input_dim, hidden_dim, prefix="", dtype=np.float32):

@@ -39,13 +39,6 @@ class ModelDims:
         if self.d_w % 2:
             raise ValueError("d_w must be even (split across encoder directions)")
 
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class EncodedInstruction:

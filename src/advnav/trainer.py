@@ -29,7 +29,7 @@ from . import world as wd
 from .attacker import Attacker, AttackerEncoding, select_attack
 from .checkpoint import params_digest
 from .diffcore import Tape, Tensor
-from .instruct import AttackAction, Instruction, apply_perturbation
+from .instruct import Instruction, apply_perturbation
 from .navigator import Navigator, greedy_action, sample_action
 
 
@@ -50,16 +50,12 @@ class TrainConfig:
     att_gamma: float = 0.5         # short-horizon credit for substitutions
     attacked_fraction: float = 0.5 # share of attacked episodes in hardening
     harden_random: float = 0.3     # share of those using random substitutions
-    iters_pretrain_nav: int = 2000
-    iters_pretrain_att: int = 500
     iters_adversarial: int = 1500
-    iters_finetune: int = 1500
     n_eta: int = 30             # navigator updates per alternation round
     n_pi: int = 10              # attacker updates per alternation round
     n_iter: int = 0             # alternation rounds; 0 derives from iters_adversarial
     grad_clip: float = 5.0
     value_hidden: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -81,13 +77,6 @@ class TrainConfig:
                        value_weight=self.att_value_weight,
                        entropy_weight=self.att_entropy_weight,
                        gamma=self.att_gamma, il_weight=0.0, aux_weight=0.0)
-
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(**d)
 
 
 class ValueNet:
@@ -118,8 +107,6 @@ class Transition:
     action: object
     reward: float
     value: float = 0.0
-    log_prob: float = 0.0
-    entropy: float = 0.0
     dist: Optional[Tensor] = None        # taped distribution for the learner
     dist_index: int = 0
     value_out: Optional[Tensor] = None
@@ -152,16 +139,6 @@ class RolloutResult:
     trace: list
 
 
-class AttackProbe(NamedTuple):
-    """Everything a baseline attack policy may inspect at one timestep."""
-    instruction: Instruction
-    timestep: int
-    visual_state: np.ndarray
-    clean_alpha_w: Callable      # () -> attention over tokens, clean encoding
-    policy_probe: Callable       # tokens -> action distribution from this state
-    rng: object
-
-
 def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
                     rng, cfg: TrainConfig,
                     nav_value: Optional[ValueNet] = None,
@@ -175,18 +152,20 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     (the attacker, when present, is frozen and greedy), 'nav_teacher' tapes
     the navigator but follows and supervises the shortest-path teacher,
     'att_learn' tapes and samples the attacker (navigator frozen and
-    greedy), 'eval' freezes both, and 'clean' runs without any attack.
-    ``attack_fn`` overrides the attack policy in eval mode (baseline
-    mechanisms).  Passing ``tape`` lets several rollouts share one update.
+    greedy), and 'eval' freezes both; with no opponent it runs clean.
+    ``attack_fn(instruction, rng) -> AttackAction`` stands in for the
+    learned attacker while the navigator learns ('nav_learn',
+    'nav_teacher'): ``adversarial_train`` hardens against random
+    substitutions this way.  Passing ``tape`` lets several rollouts share
+    one update.
     """
     graph, ep, instr = item.world, item.episode, item.instruction
     nav_teacher = mode == "nav_teacher"
     nav_learn = mode == "nav_learn" or nav_teacher
     att_learn = mode == "att_learn"
-    if mode not in ("clean", "eval", "nav_learn", "nav_teacher", "att_learn"):
+    if mode not in ("eval", "nav_learn", "nav_teacher", "att_learn"):
         raise ValueError(f"unknown rollout mode {mode!r}")
-    attacking = mode != "clean" and (att is not None or attack_fn is not None) \
-        and instr.attackable
+    attacking = (att is not None or attack_fn is not None) and instr.attackable
 
     if tape is None and (nav_learn or att_learn):
         tape = Tape()
@@ -196,14 +175,6 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     att_enc: Optional[AttackerEncoding] = None
     if attacking and att is not None:
         att_enc = att.encode(att_tape, instr)
-
-    clean_enc_cache = {}
-
-    def clean_encoding():
-        # frozen re-encode of the original tokens for baseline probes
-        if "enc" not in clean_enc_cache:
-            clean_enc_cache["enc"] = nav.encode(None, instr.tokens, instr.target_set)
-        return clean_enc_cache["enc"]
 
     nav_buf = RolloutBuffer()
     att_buf = RolloutBuffer() if attacking else None
@@ -219,9 +190,7 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
         action_att, att_dist, att_row = None, None, 0
         if attacking:
             if attack_fn is not None:
-                probe = _make_probe(nav, instr, t, s_t, views, alpha_v, f_v,
-                                    state, clean_encoding, rng)
-                action_att = attack_fn(probe)
+                action_att = attack_fn(instr, rng)
             else:
                 score = att.attack_score(att_tape, att_enc, s_t)
                 if att_learn:
@@ -263,9 +232,6 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
         if nav_learn:
             nav_tr.dist = out.p_n
             nav_tr.dist_index = action_nav
-            pn = out.p_n.values.reshape(-1)
-            nav_tr.log_prob = float(np.log(max(pn[action_nav], 1e-30)))
-            nav_tr.entropy = float(-(pn * np.log(np.maximum(pn, 1e-30))).sum())
             if not nav_teacher:
                 nav_tr.value_out = nav_value.forward(nav_tape, s_t)
                 nav_tr.value = nav_tr.value_out.item()
@@ -280,9 +246,6 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
             if att_learn and att_dist is not None:
                 att_tr.dist = att_dist
                 att_tr.dist_index = att_row
-                pa = att_dist.values.reshape(-1)
-                att_tr.log_prob = float(np.log(max(pa[att_row], 1e-30)))
-                att_tr.entropy = float(-(pa * np.log(np.maximum(pa, 1e-30))).sum())
                 att_tr.value_out = att_value.forward(att_tape, s_t)
                 att_tr.value = att_tr.value_out.item()
             att_buf.transitions.append(att_tr)
@@ -299,26 +262,6 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
         att_buf.success = success
     return RolloutResult(nav_buffer=nav_buf, att_buffer=att_buf, episode=ep,
                          tape=tape, trace=trace)
-
-
-def _make_probe(nav, instr, t, s_t, views, alpha_v, f_v, state, clean_encoding, rng):
-    frozen_alpha = Tensor(alpha_v.values.copy())
-    frozen_fv = Tensor(f_v.values.copy())
-
-    def clean_alpha_w():
-        out, _ = nav.decode_with_visual(None, clean_encoding(), views,
-                                        frozen_alpha, frozen_fv, state)
-        return out.alpha_w.values.reshape(-1).copy()
-
-    def policy_probe(tokens):
-        enc = nav.encode(None, tuple(tokens), instr.target_set)
-        out, _ = nav.decode_with_visual(None, enc, views, frozen_alpha,
-                                        frozen_fv, state)
-        return out.p_n.values.reshape(-1).copy()
-
-    return AttackProbe(instruction=instr, timestep=t, visual_state=s_t,
-                       clean_alpha_w=clean_alpha_w, policy_probe=policy_probe,
-                       rng=rng)
 
 
 def _trace_row(instr, t, action_att, out, action_nav, r_nav):
@@ -405,7 +348,8 @@ def a2c_update(tape: Tape, buf: RolloutBuffer, returns, advantages,
                              for _, p in live))
         diag["grad_norm" if prefix == "pol." else "value_grad_norm"] = norm
         if not math.isfinite(norm):
-            dc.zero_grads([p for _, p in live] + [p for _, p in updated])
+            # drop both groups' grads, or the next backward adds onto them
+            dc.zero_grads([*policy_params.values(), *value_params.values()])
             diag["aborted"] = True
             diag["loss"] = loss.item()
             return diag
@@ -440,27 +384,17 @@ def _pick(items, rng):
     return items[int(rng.integers(len(items)))]
 
 
-def _random_attack_fn(probe):
-    acts = probe.instruction.valid_actions()
-    return acts[int(probe.rng.integers(len(acts)))]
+def _random_attack_fn(instruction, rng):
+    acts = instruction.valid_actions()
+    return acts[int(rng.integers(len(acts)))]
 
 
-def _snapshot(params):
-    return {k: p.values.copy() for k, p in params.items()}
-
-
-def _restore(params, snap):
-    for k, p in params.items():
-        p.values = snap[k].copy()
-
-
-def evaluate_success(items, nav, cfg, att=None, attack_fn=None, seed=0):
-    """Greedy success rate over items with per-episode seeding."""
+def evaluate_success(items, nav, cfg, seed=0):
+    """Clean greedy success rate over items with per-episode seeding."""
     succ = 0
     for i, item in enumerate(items):
         erng = np.random.default_rng([seed, i])
-        res = rollout_episode(item, nav, att, "eval", erng, cfg,
-                              attack_fn=attack_fn)
+        res = rollout_episode(item, nav, None, "eval", erng, cfg)
         succ += res.nav_buffer.success
     return succ / max(len(items), 1)
 
@@ -483,11 +417,6 @@ def validate_navigator(items, nav, cfg, att=None, seed=0):
     out["attacked"] = succ / max(len(items), 1)
     out["aux_acc"] = hits / max(total, 1)
     return out
-
-
-def _nav_selection_score(items, nav, cfg, att, seed=0):
-    v = validate_navigator(items, nav, cfg, att=att, seed=seed)
-    return v["clean"] + v.get("attacked", 0.0) + 0.5 * v.get("aux_acc", 0.0)
 
 
 def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None,
@@ -520,95 +449,45 @@ def attacker_update(item, nav, att, att_value, acfg, rng, opt_state=None):
     return diag, res
 
 
-def train_navigator(items, nav, nav_value, cfg, rng, iters, att=None,
-                    stage="pretrain_nav", log_fn=None, val_items=None,
-                    val_every=500, val_att=None):
-    """Clean navigator training, or training under a frozen attacker.
-
-    With ``val_items`` the clean success rate is checked periodically and
-    the best-scoring parameters win at the end; with ``val_att`` the score
-    adds the success rate under that frozen attacker, selecting for
-    robustness as well."""
+def train_navigator(items, nav, nav_value, cfg, rng, iters, att=None, log_fn=None):
+    """Clean navigator training, or training under a frozen attacker."""
     opt_state = {}
-    best_snap, best_score = None, -1.0
-
-    def score_now():
-        return _nav_selection_score(val_items, nav, cfg, val_att)
-
     for it in range(iters):
         item = _pick(items, rng)
         diag, res = navigator_update(item, nav, nav_value, cfg, rng, att=att,
                                      opt_state=opt_state)
         if log_fn:
-            log_fn({"stage": stage, "iteration": it, "player": "nav",
+            log_fn({"stage": "pretrain_nav", "iteration": it, "player": "nav",
                     "reward": sum(res.nav_buffer.rewards),
                     "success": int(res.nav_buffer.success), **_round(diag)})
-        if val_items and (it + 1) % val_every == 0:
-            score = score_now()
-            if log_fn:
-                log_fn({"stage": stage, "iteration": it, "player": "nav",
-                        "val_sr": round(score, 4)})
-            if score >= best_score:
-                best_score, best_snap = score, _snapshot(nav.params)
-    if best_snap is not None:
-        if score_now() < best_score:
-            _restore(nav.params, best_snap)
 
 
-def train_attacker(items, nav, att, att_value, cfg, rng, iters,
-                   stage="pretrain_att", log_fn=None, val_items=None,
-                   val_every=500):
-    """Attacker training against a frozen navigator.
-
-    With ``val_items`` the greedy attack is scored periodically (lower
-    navigator success is better) and the best parameters win at the end."""
+def train_attacker(items, nav, att, att_value, cfg, rng, iters, log_fn=None):
+    """Attacker training against a frozen navigator."""
     nav_digest = params_digest(nav.params)
     acfg = cfg.for_attacker()
     opt_state = {}
-    best_snap, best_score = None, 2.0
     for it in range(iters):
         item = _pick(items, rng)
         if not item.instruction.attackable:
             continue
         diag, res = attacker_update(item, nav, att, att_value, acfg, rng, opt_state)
         if log_fn:
-            log_fn({"stage": stage, "iteration": it, "player": "att",
+            log_fn({"stage": "pretrain_att", "iteration": it, "player": "att",
                     "reward": sum(res.att_buffer.rewards),
                     "success": int(res.att_buffer.success), **_round(diag)})
-        if val_items and (it + 1) % val_every == 0:
-            score = evaluate_success(val_items, nav, cfg, att=att)
-            if log_fn:
-                log_fn({"stage": stage, "iteration": it, "player": "att",
-                        "val_attacked_sr": round(score, 4)})
-            if score <= best_score:
-                best_score, best_snap = score, _snapshot(att.params)
-    if best_snap is not None:
-        final = evaluate_success(val_items, nav, cfg, att=att)
-        if final > best_score:
-            _restore(att.params, best_snap)
     if params_digest(nav.params) != nav_digest:
         raise RuntimeError("frozen navigator parameters changed during attacker training")
 
 
-def adversarial_train(items, nav, att, nav_value, att_value, cfg, rng,
-                      log_fn=None, val_items=None, val_att=None):
+def adversarial_train(items, nav, att, nav_value, att_value, cfg, rng, log_fn=None):
     """Alternating rounds: freeze the attacker while the navigator takes
     n_eta updates on perturbed instructions (with the attacked-word term),
     then freeze the navigator for n_pi attacker updates.  Returns the exact
-    update sequence.
-
-    With ``val_items`` the navigator is scored each round on clean success
-    plus success under ``val_att`` (a fixed reference attacker), and its
-    best snapshot wins at the end; the attacker always keeps its final
-    parameters."""
+    update sequence."""
     update_log = []
     acfg = cfg.for_attacker()
     nav_opt, att_opt = {}, {}
-    best_nav, best_score = None, -1.0
-
-    def nav_score():
-        return _nav_selection_score(val_items, nav, cfg, val_att)
-
     for rnd in range(cfg.rounds):
         att_digest = params_digest(att.params)
         for j in range(cfg.n_eta):
@@ -646,15 +525,6 @@ def adversarial_train(items, nav, att, nav_value, att_value, cfg, rng,
                         "success": int(res.att_buffer.success), **_round(diag)})
         if params_digest(nav.params) != nav_digest:
             raise RuntimeError("frozen navigator changed during attacker block")
-        if val_items:
-            score = nav_score()
-            if log_fn:
-                log_fn({"stage": "adversarial", "round": rnd, "player": "nav",
-                        "val_sr": round(score, 4)})
-            if score >= best_score:
-                best_score, best_nav = score, _snapshot(nav.params)
-    if best_nav is not None and nav_score() < best_score:
-        _restore(nav.params, best_nav)
     return update_log
 
 

@@ -58,6 +58,11 @@ class WorldConfig:
     feature_noise: float = 0.2
     j_max: int = 5                 # max neighbors per node
 
+    def __post_init__(self):
+        # a spanning tree on n >= 3 nodes has a node of degree >= 2
+        if self.j_max < 2:
+            raise ValueError(f"j_max must be at least 2, got {self.j_max}")
+
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -111,7 +116,11 @@ class WorldGraph:
 
 
 def generate_world(config: WorldConfig) -> WorldGraph:
-    """Build a connected graph deterministically from ``config.seed``."""
+    """Build a connected graph deterministically from ``config.seed``.
+
+    Every node has at most ``config.j_max`` neighbors and no two nodes lie
+    closer than 2 m; raises ``ValueError`` when the spacing cannot be met.
+    """
     if config.n_nodes < 4:
         raise ValueError(f"need at least 4 nodes, got {config.n_nodes}")
     rng = np.random.default_rng(config.seed)
@@ -119,12 +128,15 @@ def generate_world(config: WorldConfig) -> WorldGraph:
 
     coords = rng.uniform(0.0, config.box, size=(n, 2))
     # keep nodes apart so edge lengths and the success radius stay meaningful
-    for _ in range(200):
+    for tries in range(201):
         d = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
         a, b = np.unravel_index(np.argmin(d), d.shape)
         if d[a, b] >= 2.0:
             break
+        if tries == 200:
+            raise ValueError(f"cannot space {n} nodes 2 m apart in a "
+                             f"{config.box} m box after 200 tries")
         coords[b] = rng.uniform(0.0, config.box, size=2)
 
     degree = {i: 0 for i in range(n)}
@@ -138,11 +150,9 @@ def generate_world(config: WorldConfig) -> WorldGraph:
     order = rng.permutation(n)
     for i in range(1, n):
         # attach each node to the geometrically nearest earlier node with
-        # spare degree, keeping the tree roughly planar
-        prev = order[:i]
-        usable = [p for p in prev if degree[p] < config.j_max]
-        if not usable:
-            usable = list(prev)
+        # spare degree, keeping the tree roughly planar; a tree's mean
+        # degree is below 2 <= j_max, so some earlier node has spare degree
+        usable = [p for p in order[:i] if degree[p] < config.j_max]
         dists = [np.linalg.norm(coords[order[i]] - coords[p]) for p in usable]
         connect(int(order[i]), int(usable[int(np.argmin(dists))]))
 

@@ -152,7 +152,7 @@ def test_attack_is_dynamic_in_the_visual_state(vocab):
     assert len(argmaxes) >= 2  # some pair of states disagrees on the argmax
 
 
-def test_log_prob_gradients_match_finite_differences(vocab):
+def test_attack_nll_gradients_match_finite_differences(vocab):
     dims = ModelDims(d_w=4, d_v=4, d_p=3, d_h=4)
     att = make_attacker(5, dims=dims, dtype=np.float64)
     instr = instr_of(vocab, "go to the table in the kitchen with the sofa")

@@ -13,7 +13,7 @@ from advnav.diffcore import (
 
 def test_softmax_symmetry():
     t = Tape()
-    x = constant([[0.0, 0.0]], name="x")
+    x = constant([[0.0, 0.0]])
     y = softmax(t, x)
     np.testing.assert_allclose(y.values, [[0.5, 0.5]], atol=1e-7)
 
@@ -31,8 +31,8 @@ def test_random_tape_matches_hand_rolled():
     xv = rng.normal(size=(2, 3)).astype(np.float32)
     wv = rng.normal(size=(3, 3)).astype(np.float32)
     t = Tape()
-    x = constant(xv, name="x")
-    w = constant(wv, name="w")
+    x = constant(xv)
+    w = constant(wv)
     h = matmul(t, x, w)
     a = tanh(t, h)
     s = softmax(t, a, axis=1)

@@ -207,6 +207,9 @@ def test_nan_gradient_aborts_update():
                          {"w": logits}, vn.params, cfg)
     assert diag["aborted"]
     np.testing.assert_array_equal(logits.values, before)
+    # the abort fires on the policy group; stale value grads would be added
+    # onto by the next backward
+    assert all(q.grad is None for q in [logits, *vn.params.values()])
 
 
 def test_rollout_clean_buffers_and_zero_sum():
@@ -214,7 +217,7 @@ def test_rollout_clean_buffers_and_zero_sum():
     nav, att, nav_val, att_val = make_models()
     cfg = tr.TrainConfig()
     rng = np.random.default_rng(0)
-    res = tr.rollout_episode(items[0], nav, None, "clean", rng, cfg,
+    res = tr.rollout_episode(items[0], nav, None, "eval", rng, cfg,
                              nav_value=nav_val)
     assert res.att_buffer is None
     assert all(t.reward in (-3.0, -1.0, 1.0, 3.0) for t in res.nav_buffer.transitions)

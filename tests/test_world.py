@@ -220,3 +220,16 @@ def test_landmark_features_stable_and_distinct():
     c = w.landmark_feature("kitchen", 32)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_j_max_below_two_rejected():
+    # a connected tree needs a node of degree 2, so j_max=1 cannot be met
+    for j_max in (0, 1):
+        with pytest.raises(ValueError, match="j_max"):
+            w.WorldConfig(j_max=j_max)
+
+
+def test_unspaceable_world_raises():
+    # 60 nodes cannot be kept 2 m apart in the 20 m box within 200 tries
+    with pytest.raises(ValueError, match="2 m apart"):
+        small_world(seed=0, n_nodes=60)
