@@ -39,15 +39,6 @@ class AttackScore:
     p_flat: Tensor             # (sum K_j, 1) joint distribution over valid cells
     index_map: tuple           # row of p_flat -> (j, k)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Joint probabilities in padded (L', K_max) layout; invalid cells 0."""
-        out = np.zeros_like(self.gamma)
-        flat = self.p_flat.values.reshape(-1)
-        for row, (j, k) in enumerate(self.index_map):
-            out[j, k] = flat[row]
-        return out
-
 
 class Attacker:
     def __init__(self, params: dict, dims: ModelDims):

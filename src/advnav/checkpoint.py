@@ -1,9 +1,9 @@
 """Parameter digests: a stable content hash of a parameter dict.
 
-The hash covers each parameter's name and its little-endian float32 values
-in sorted-name order, so equal digests mean bit-identical float32
-parameters.  The training loops use it to prove a frozen player stayed
-frozen.
+The hash covers each parameter's name and its little-endian values in
+sorted-name order; arrays other than float32 also hash their dtype tag.  So
+equal digests mean bit-identical parameters of any dtype.  The training
+loops use it to prove a frozen player stayed frozen.
 """
 
 from __future__ import annotations
@@ -18,5 +18,9 @@ def params_digest(params: dict) -> str:
     h = hashlib.sha256()
     for name in sorted(params):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(params[name].values, dtype="<f4").tobytes())
+        values = params[name].values
+        le = values.dtype.newbyteorder("<")
+        if le != np.dtype("<f4"):
+            h.update(le.str.encode())
+        h.update(np.ascontiguousarray(values, dtype=le).tobytes())
     return h.hexdigest()

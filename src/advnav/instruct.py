@@ -3,17 +3,18 @@
 Instructions are templated walks along an episode's ground-truth path:
 direction and filler words interleaved with the object/location landmark
 words of the nodes being passed, ending with the goal's landmarks.  The
-attackable positions (the target set) are exactly the object and location
-tokens; each target's candidate substitutions are the other target words of
-the same instruction.  A perturbation swaps one target token of the
-original sequence; perturbations never compound across timesteps.
+attackable positions (the target set) are all the object and location
+tokens, wherever they stand; each target's candidate substitutions are the
+other target words of the same instruction.  A perturbation swaps one
+target token of the original sequence; perturbations never compound across
+timesteps.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +33,6 @@ PAD_TOKEN, START_TOKEN = "<pad>", "<start>"
 class Vocabulary:
     words: tuple
     classes: tuple          # per token: object|location|direction|filler
-    pad_id: int
-    start_id: int
-    stop_word_id: int
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
@@ -47,9 +45,6 @@ class Vocabulary:
 
     def word(self, token_id: int) -> str:
         return self.words[token_id]
-
-    def class_of(self, token_id: int) -> str:
-        return self.classes[token_id]
 
     def is_landmark(self, token_id: int) -> bool:
         return self.classes[token_id] in ("object", "location")
@@ -74,8 +69,7 @@ def build_vocabulary() -> Vocabulary:
     for w in LOCATION_WORDS:
         words.append(w)
         classes.append("location")
-    vocab = Vocabulary(words=tuple(words), classes=tuple(classes),
-                       pad_id=0, start_id=1, stop_word_id=words.index("stop"))
+    vocab = Vocabulary(words=tuple(words), classes=tuple(classes))
     assert len(set(words)) == len(words), "vocabulary words must be unique"
     return vocab
 
@@ -95,11 +89,6 @@ class Instruction:
     tokens: tuple
     target_set: tuple                     # positions of object/location tokens
     candidates: tuple                     # per target: tuple[Candidate, ...]
-    attackable_mask: Optional[tuple] = None   # (lo, hi) token range or None
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
 
     @property
     def n_targets(self) -> int:
@@ -132,11 +121,9 @@ class PerturbedInstruction:
         return tuple(t)
 
 
-def build_target_set(tokens, vocab: Vocabulary, attackable_mask=None) -> tuple:
-    """Positions of object/location tokens in sentence order, mask applied."""
-    lo, hi = attackable_mask if attackable_mask else (0, len(tokens))
-    return tuple(i for i, t in enumerate(tokens)
-                 if vocab.is_landmark(t) and lo <= i < hi)
+def build_target_set(tokens, vocab: Vocabulary) -> tuple:
+    """Positions of object/location tokens in sentence order."""
+    return tuple(i for i, t in enumerate(tokens) if vocab.is_landmark(t))
 
 
 def build_candidate_sets(tokens, target_set) -> tuple:
@@ -159,11 +146,10 @@ def build_candidate_sets(tokens, target_set) -> tuple:
     return tuple(out)
 
 
-def make_instruction(tokens, vocab: Vocabulary, attackable_mask=None) -> Instruction:
-    targets = build_target_set(tokens, vocab, attackable_mask)
+def make_instruction(tokens, vocab: Vocabulary) -> Instruction:
+    targets = build_target_set(tokens, vocab)
     return Instruction(tokens=tuple(tokens), target_set=targets,
-                       candidates=build_candidate_sets(tokens, targets),
-                       attackable_mask=attackable_mask)
+                       candidates=build_candidate_sets(tokens, targets))
 
 
 def apply_perturbation(instr: Instruction, action: AttackAction,
@@ -219,14 +205,12 @@ def _direction_word(world: WorldGraph, prev: int, cur: int, nxt: int) -> str:
     return "left" if cross > 0 else "right"
 
 
-def generate_instruction(world: WorldGraph, ep: Episode, seed: int,
-                         mask_final_phrase: bool = False) -> Instruction:
+def generate_instruction(world: WorldGraph, ep: Episode, seed: int) -> Instruction:
     """Templated instruction walking the ground-truth path, deterministic per seed.
 
     One landmark of each intermediate node is mentioned in path order and the
     goal contributes both of its landmarks, so any episode yields at least
-    two attackable words.  ``mask_final_phrase`` restricts the attackable
-    region to the last sentence.
+    two attackable words.
     """
     if not ep.ground_truth_path:
         raise ValueError("episode has an empty ground-truth path")
@@ -251,11 +235,4 @@ def generate_instruction(world: WorldGraph, ep: Episode, seed: int,
     goal_obj, goal_loc = world.landmarks[ep.goal]
     final = str(rng.choice(_FINAL)).format(o=goal_obj, l=goal_loc)
     words = (" then ".join(phrases) + (" " if phrases else "") + final).split()
-    tokens = tuple(vocab.id_of(w) for w in words)
-    mask = None
-    if mask_final_phrase:
-        # the final sentence starts at the last "then"/"and" connective
-        starts = [i for i, t in enumerate(tokens)
-                  if vocab.word(t) in ("then", "and")]
-        mask = (starts[-1], len(tokens))
-    return make_instruction(tokens, vocab, attackable_mask=mask)
+    return make_instruction(tuple(vocab.id_of(w) for w in words), vocab)

@@ -57,11 +57,7 @@ class NavState:
 
 @dataclass(frozen=True)
 class NavStepOutput:
-    alpha_v: Tensor           # attention over candidate views
-    f_v: Tensor               # attended visual feature (the RL state)
     alpha_w: Tensor           # attention over instruction tokens
-    f_w_att: Tensor           # attended token feature
-    h: Tensor                 # recurrent hidden state
     h_tilde: Tensor           # fused visual-and-instruction aware state
     p_n: Tensor               # action distribution over stop + neighbors
     p_c: Tensor               # attacked-word distribution over targets
@@ -162,8 +158,9 @@ class Navigator:
         return alpha_v, f_v
 
     def decode_with_visual(self, tape, enc: EncodedInstruction, views: Tensor,
-                           alpha_v: Tensor, f_v: Tensor, state: NavState):
-        """Finish a step given the attended visual feature already computed."""
+                           f_v: Tensor, state: NavState):
+        """Finish a step given the attended visual feature ``f_v`` from
+        ``visual_attention``; the returned state still needs ``with_action``."""
         p = self.params
         x = dc.concat(tape, [f_v, state.prev_action], axis=1)
         h, cell = dc.lstm_cell(tape, x, state.h_tilde, state.cell, p, prefix="dec.")
@@ -176,16 +173,8 @@ class Navigator:
             tape, dc.matmul(tape, views, p["w_a"]), h_tilde))
         p_c = self.predict_attacked_word(tape, h_tilde, enc.f_w) \
             if enc.f_w is not None else None
-        out = NavStepOutput(alpha_v=alpha_v, f_v=f_v, alpha_w=alpha_w,
-                            f_w_att=f_w_att, h=h, h_tilde=h_tilde,
-                            p_n=p_n, p_c=p_c)
+        out = NavStepOutput(alpha_w=alpha_w, h_tilde=h_tilde, p_n=p_n, p_c=p_c)
         return out, NavState(h_tilde=h_tilde, cell=cell, prev_action=None)
-
-    def decode_step(self, tape, enc: EncodedInstruction, views: Tensor,
-                    state: NavState):
-        """One full decoder step; the returned state still needs ``with_action``."""
-        alpha_v, f_v = self.visual_attention(tape, views, state)
-        return self.decode_with_visual(tape, enc, views, alpha_v, f_v, state)
 
     def predict_attacked_word(self, tape, h_tilde: Tensor, f_w: Tensor) -> Tensor:
         """Distribution over target words for the reasoning head."""

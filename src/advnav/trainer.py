@@ -8,7 +8,8 @@ original instruction, the navigator encodes whatever token sequence it
 receives and finishes the step, and the environment moves.  Rewards are
 framed zero-sum: whatever the attacker gains the navigator loses.
 
-Returns follow the discounted accumulation with a terminal bootstrap term,
+Every episode ends terminally (the navigator stops or reaches the horizon),
+so returns are the plain discounted reward sums with no bootstrap term;
 advantages are returns minus the critic's estimate, and the update ascends
 the advantage-weighted log-likelihood and the policy entropy while
 regressing the critic onto the returns.  The navigator additionally mixes
@@ -50,26 +51,25 @@ class TrainConfig:
     att_gamma: float = 0.5         # short-horizon credit for substitutions
     attacked_fraction: float = 0.5 # share of attacked episodes in hardening
     harden_random: float = 0.3     # share of those using random substitutions
-    iters_adversarial: int = 1500
     n_eta: int = 30             # navigator updates per alternation round
     n_pi: int = 10              # attacker updates per alternation round
-    n_iter: int = 0             # alternation rounds; 0 derives from iters_adversarial
+    n_iter: int = 38            # alternation rounds (about 1500 updates)
     grad_clip: float = 5.0
     value_hidden: int = 32
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        for name in ("gamma", "momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        for name in ("attacked_fraction", "harden_random"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("lr", "rl_weight", "entropy_weight", "value_weight",
-                     "il_weight", "aux_weight"):
+                     "il_weight", "aux_weight", "grad_clip", "n_eta", "n_pi"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def rounds(self) -> int:
-        if self.n_iter:
-            return self.n_iter
-        return max(1, round(self.iters_adversarial / (self.n_eta + self.n_pi)))
+        if self.n_iter < 1:
+            raise ValueError("n_iter must be at least 1")
 
     def for_attacker(self) -> "TrainConfig":
         from dataclasses import replace
@@ -103,7 +103,6 @@ class ValueNet:
 
 @dataclass
 class Transition:
-    state: np.ndarray
     action: object
     reward: float
     value: float = 0.0
@@ -119,7 +118,6 @@ class Transition:
 @dataclass
 class RolloutBuffer:
     transitions: list = field(default_factory=list)
-    bootstrap: float = 0.0
     success: bool = False
 
     def __len__(self):
@@ -156,8 +154,8 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     ``attack_fn(instruction, rng) -> AttackAction`` stands in for the
     learned attacker while the navigator learns ('nav_learn',
     'nav_teacher'): ``adversarial_train`` hardens against random
-    substitutions this way.  Passing ``tape`` lets several rollouts share
-    one update.
+    substitutions this way.  'att_learn' needs ``att`` and refuses
+    ``attack_fn``.  Passing ``tape`` lets several rollouts share one update.
     """
     graph, ep, instr = item.world, item.episode, item.instruction
     nav_teacher = mode == "nav_teacher"
@@ -165,6 +163,8 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     att_learn = mode == "att_learn"
     if mode not in ("eval", "nav_learn", "nav_teacher", "att_learn"):
         raise ValueError(f"unknown rollout mode {mode!r}")
+    if att_learn and (att is None or attack_fn is not None):
+        raise ValueError("'att_learn' needs the learned attacker and no attack_fn")
     attacking = (att is not None or attack_fn is not None) and instr.attackable
 
     if tape is None and (nav_learn or att_learn):
@@ -184,7 +184,7 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     t = 0
     while not ep.done:
         views = Tensor(graph.candidate_views(ep.current))
-        alpha_v, f_v = nav.visual_attention(nav_tape, views, state)
+        _, f_v = nav.visual_attention(nav_tape, views, state)
         s_t = f_v.values.reshape(-1).copy()
 
         action_att, att_dist, att_row = None, None, 0
@@ -211,7 +211,7 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
             # token sequences repeat across steps; reuse their encodings
             enc = nav.encode(nav_tape, tokens_t, instr.target_set)
             enc_cache[tokens_t] = enc
-        out, proto = nav.decode_with_visual(nav_tape, enc, views, alpha_v, f_v, state)
+        out, proto = nav.decode_with_visual(nav_tape, enc, views, f_v, state)
 
         teacher = wd.teacher_action(ep)
         if nav_teacher:
@@ -227,7 +227,7 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
         r_att = wd.attacker_reward(ep, ep_next)
         r_nav = -r_att
 
-        nav_tr = Transition(state=s_t, action=action_nav, reward=r_nav,
+        nav_tr = Transition(action=action_nav, reward=r_nav,
                             teacher=teacher, use_rl=not nav_teacher)
         if nav_learn:
             nav_tr.dist = out.p_n
@@ -242,8 +242,8 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
         nav_buf.transitions.append(nav_tr)
 
         if att_buf is not None:
-            att_tr = Transition(state=s_t, action=action_att, reward=r_att)
-            if att_learn and att_dist is not None:
+            att_tr = Transition(action=action_att, reward=r_att)
+            if att_learn:
                 att_tr.dist = att_dist
                 att_tr.dist_index = att_row
                 att_tr.value_out = att_value.forward(att_tape, s_t)
@@ -282,13 +282,13 @@ def _trace_row(instr, t, action_att, out, action_nav, r_nav):
 # returns and updates
 
 def compute_returns(buf: RolloutBuffer, gamma: float):
-    """Discounted returns with the bootstrap discounted by gamma^(N-t), plus
+    """Discounted returns of a terminated episode (no bootstrap term), plus
     advantages against the stored value estimates."""
     if not buf.transitions:
         raise ValueError("empty rollout buffer")
     rewards = buf.rewards
     returns = [0.0] * len(rewards)
-    returns[-1] = rewards[-1] + buf.bootstrap
+    returns[-1] = rewards[-1]
     for t in range(len(rewards) - 2, -1, -1):
         returns[t] = rewards[t] + gamma * returns[t + 1]
     advantages = [r - tr.value for r, tr in zip(returns, buf.transitions)]
@@ -488,7 +488,7 @@ def adversarial_train(items, nav, att, nav_value, att_value, cfg, rng, log_fn=No
     update_log = []
     acfg = cfg.for_attacker()
     nav_opt, att_opt = {}, {}
-    for rnd in range(cfg.rounds):
+    for rnd in range(cfg.n_iter):
         att_digest = params_digest(att.params)
         for j in range(cfg.n_eta):
             item = _pick(items, rng)

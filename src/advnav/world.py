@@ -8,15 +8,14 @@ groundable against the views.  A per-node stop view embeds the node's own
 landmarks plus a global stop marker.
 
 Episodes move along edges or stop; rewards are framed from the attacker's
-side (negative when the navigator does well) and the navigator's reward is
-the exact negation, making every transition zero-sum.
+side (negative when the navigator does well).  The trainer gives the
+navigator the exact negation, making every transition zero-sum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,13 +62,6 @@ class WorldConfig:
         if self.j_max < 2:
             raise ValueError(f"j_max must be at least 2, got {self.j_max}")
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "WorldConfig":
-        return cls(**d)
-
 
 @dataclass
 class WorldGraph:
@@ -95,24 +87,6 @@ class WorldGraph:
         rows = [self.stop_features[node]]
         rows += [self.view_features[(node, nbr)] for nbr in self.neighbors[node]]
         return np.stack(rows)
-
-    def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "coords": [[round(float(x), 10) for x in row] for row in self.coords],
-            "edges": [list(e) for e in self.edges],
-            "landmarks": {str(n): list(self.landmarks[n]) for n in sorted(self.landmarks)},
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "WorldGraph":
-        cfg = WorldConfig.from_json(d["config"])
-        g = generate_world(cfg)
-        if [list(e) for e in g.edges] != d["edges"]:
-            raise ValueError("stored world does not match its seed: edge sets differ")
-        if not np.allclose(g.coords, np.asarray(d["coords"]), atol=1e-8):
-            raise ValueError("stored world does not match its seed: coordinates differ")
-        return g
 
 
 def generate_world(config: WorldConfig) -> WorldGraph:
@@ -273,10 +247,6 @@ class Episode:
     def horizon(self) -> int:
         return self.world.config.horizon
 
-    @property
-    def n_actions(self) -> int:
-        return 1 + len(self.world.neighbors[self.current])
-
 
 def make_episode(world: WorldGraph, start: int, goal: int) -> Episode:
     path = tuple(shortest_path(world, start, goal))
@@ -302,7 +272,8 @@ def step(ep: Episode, action: int) -> Episode:
 
 
 def attacker_reward(ep_before: Episode, ep_after: Episode) -> float:
-    """Reward for the attacking player; the navigator receives the negation.
+    """Reward for the attacking player; the trainer gives the navigator the
+    negation.
 
     Final step: -3 when the navigator ends within the success radius of the
     goal, +3 otherwise.  Non-final step: -1 when the distance to the goal
@@ -316,10 +287,6 @@ def attacker_reward(ep_before: Episode, ep_after: Episode) -> float:
     before = geodesic_distance(g, ep_before.current, ep_before.goal)
     after = geodesic_distance(g, ep_after.current, ep_after.goal)
     return -1.0 if after < before else 1.0
-
-
-def navigator_reward(ep_before: Episode, ep_after: Episode) -> float:
-    return -attacker_reward(ep_before, ep_after)
 
 
 def _check_adjacent(ep_before: Episode, ep_after: Episode):
@@ -343,12 +310,3 @@ def teacher_action(ep: Episode) -> int:
                key=lambda i: (g.edge_length(ep.current, nbrs[i]) + dist[nbrs[i]], i))
     return best + 1
 
-
-def save_world(g: WorldGraph, path):
-    with open(path, "w") as fh:
-        json.dump(g.to_json(), fh, indent=2, sort_keys=True)
-
-
-def load_world(path) -> WorldGraph:
-    with open(path) as fh:
-        return WorldGraph.from_json(json.load(fh))

@@ -81,9 +81,9 @@ def test_joint_distribution_is_valid_and_masked_cells_zero(vocab):
     assert instr.k_max == 2 and min(len(c) for c in instr.candidates) == 1
     enc = att.encode(None, instr)
     score = att.attack_score(None, enc, np.random.default_rng(0).normal(size=DIMS.d_v))
-    mat = score.matrix
-    assert abs(mat.sum() - 1.0) < 1e-6
-    assert np.all(mat[~score.valid] == 0.0)
+    # every probability row belongs to a real cell, and every real cell has one
+    assert all(score.valid[j, k] for j, k in score.index_map)
+    assert len(set(score.index_map)) == len(score.index_map) == score.valid.sum()
     assert abs(score.p_flat.values.sum() - 1.0) < 1e-6
 
 

@@ -24,9 +24,9 @@ def toks(vocab, text):
 def test_vocabulary_classes_disjoint(vocab):
     assert len(vocab.words) == len(set(vocab.words))
     for t in range(len(vocab)):
-        assert vocab.class_of(t) in ("object", "location", "direction", "filler")
-    assert vocab.word(vocab.stop_word_id) == "stop"
-    assert vocab.word(vocab.pad_id) == "<pad>"
+        assert vocab.classes[t] in ("object", "location", "direction", "filler")
+    assert vocab.word(vocab.id_of("stop")) == "stop"
+    assert vocab.words[:2] == ("<pad>", "<start>")
 
 
 def test_target_set_string_match(vocab):
@@ -38,16 +38,6 @@ def test_target_set_string_match(vocab):
 def test_target_set_empty_for_fillers(vocab):
     tokens = toks(vocab, "walk past the then go forward")
     assert ins.build_target_set(tokens, vocab) == ()
-
-
-def test_target_set_respects_mask(vocab):
-    tokens = toks(vocab, "walk past the table then stop at the kitchen")
-    all_targets = ins.build_target_set(tokens, vocab)
-    masked = ins.build_target_set(tokens, vocab, attackable_mask=(4, len(tokens)))
-    assert len(all_targets) == 2
-    assert [vocab.word(tokens[i]) for i in masked] == ["kitchen"]
-    rescan = tuple(i for i in all_targets if 4 <= i < len(tokens))
-    assert masked == rescan
 
 
 def test_candidates_are_remaining_targets(vocab):
@@ -161,16 +151,6 @@ def test_short_path_still_attackable(setup):
     instr = ins.generate_instruction(g, ep, seed=0)
     assert instr.attackable
     assert instr.n_targets == 2
-
-
-def test_masked_generation_limits_targets(vocab, setup):
-    g, ep = setup
-    instr = ins.generate_instruction(g, ep, seed=5, mask_final_phrase=True)
-    lo, hi = instr.attackable_mask
-    assert all(lo <= p < hi for p in instr.target_set)
-    full = ins.generate_instruction(g, ep, seed=5)
-    assert instr.tokens == full.tokens
-    assert instr.n_targets <= full.n_targets
 
 
 def test_corpus_is_pure_function_of_inputs(setup):

@@ -14,6 +14,12 @@ def make_nav(seed=0, dims=DIMS, dtype=np.float32):
     return Navigator.create(np.random.default_rng(seed), VOCAB, dims, dtype=dtype)
 
 
+def decode_step(nav, tape, enc, views, state):
+    """One full decoder step, taken the way the rollout takes it."""
+    _, f_v = nav.visual_attention(tape, views, state)
+    return nav.decode_with_visual(tape, enc, views, f_v, state)
+
+
 def test_encode_shapes():
     nav = make_nav()
     enc = nav.encode(None, (1, 2, 3, 4, 5), target_set=(1, 3))
@@ -41,7 +47,7 @@ def test_zero_language_attention_weights_give_uniform_alpha_w():
     nav.params["w_u"] = Tensor(np.zeros((DIMS.d_w, DIMS.d_h)))
     enc = nav.encode(None, (1, 2, 3, 4, 5), target_set=(0, 2))
     views = dc.constant(np.random.default_rng(0).normal(size=(4, DIMS.d_v)))
-    out, _ = nav.decode_step(None, enc, views, nav.initial_state())
+    out, _ = decode_step(nav, None, enc, views, nav.initial_state())
     np.testing.assert_allclose(out.alpha_w.values, np.full((5, 1), 0.2), atol=1e-6)
 
 
@@ -50,7 +56,7 @@ def test_zero_action_head_gives_uniform_policy():
     nav.params["w_a"] = Tensor(np.zeros((DIMS.d_v, DIMS.d_h)))
     enc = nav.encode(None, (1, 2, 3), target_set=(0,))
     views = dc.constant(np.random.default_rng(0).normal(size=(4, DIMS.d_v)))
-    out, _ = nav.decode_step(None, enc, views, nav.initial_state())
+    out, _ = decode_step(nav, None, enc, views, nav.initial_state())
     np.testing.assert_allclose(out.p_n.values, np.full((4, 1), 0.25), atol=1e-6)
 
 
@@ -75,8 +81,8 @@ def test_decode_rejects_empty_views():
     nav = make_nav()
     enc = nav.encode(None, (1, 2))
     with pytest.raises(ValueError):
-        nav.decode_step(None, enc, dc.constant(np.zeros((0, DIMS.d_v))),
-                        nav.initial_state())
+        decode_step(nav, None, enc, dc.constant(np.zeros((0, DIMS.d_v))),
+                    nav.initial_state())
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -97,10 +103,11 @@ def test_full_step_matches_straight_line_oracle(seed):
     cell = np.zeros((1, DIMS.d_h))
     prev_a = p["a0"]
     for step in range(3):
-        out, new_state = nav.decode_step(None, enc, views, state)
+        alpha_v, f_v = nav.visual_attention(None, views, state)
+        out, new_state = nav.decode_with_visual(None, enc, views, f_v, state)
         ref = sl.nav_step(p, u, f_w, views.values, h_tilde, cell, prev_a)
-        np.testing.assert_allclose(out.alpha_v.values.reshape(-1), ref["alpha_v"], atol=1e-6)
-        np.testing.assert_allclose(out.f_v.values, ref["f_v"], atol=1e-6)
+        np.testing.assert_allclose(alpha_v.values.reshape(-1), ref["alpha_v"], atol=1e-6)
+        np.testing.assert_allclose(f_v.values, ref["f_v"], atol=1e-6)
         np.testing.assert_allclose(out.alpha_w.values.reshape(-1), ref["alpha_w"], atol=1e-6)
         np.testing.assert_allclose(out.h_tilde.values, ref["h_tilde"], atol=1e-6)
         np.testing.assert_allclose(out.p_n.values, ref["p_n"].reshape(-1, 1), atol=1e-6)
@@ -116,8 +123,9 @@ def test_distributions_are_simplexes():
     nav = make_nav(9)
     enc = nav.encode(None, tuple(rng.integers(0, VOCAB, size=7)), target_set=(0, 2, 5))
     views = dc.constant(rng.normal(size=(4, DIMS.d_v)))
-    out, _ = nav.decode_step(None, enc, views, nav.initial_state())
-    for dist in (out.alpha_v, out.alpha_w, out.p_n, out.p_c):
+    alpha_v, f_v = nav.visual_attention(None, views, nav.initial_state())
+    out, _ = nav.decode_with_visual(None, enc, views, f_v, nav.initial_state())
+    for dist in (alpha_v, out.alpha_w, out.p_n, out.p_c):
         vals = dist.values.reshape(-1)
         assert abs(vals.sum() - 1.0) < 1e-6
         assert np.all(vals >= 0)
@@ -161,7 +169,7 @@ def test_step_gradients_match_finite_differences():
     def run():
         t = Tape()
         enc = nav.encode(t, tokens, target_set=(1, 3))
-        out, _ = nav.decode_step(t, enc, views, nav.initial_state())
+        out, _ = decode_step(nav, t, enc, views, nav.initial_state())
         loss = dc.add(t, dc.cross_entropy(t, out.p_n, 1),
                       dc.cross_entropy(t, out.p_c, 0))
         return t, loss
@@ -204,7 +212,7 @@ def test_imitation_loss_strictly_decreases_when_overfitting():
         terms = []
         while not ep.done:
             views = dc.constant(g.candidate_views(ep.current))
-            out, proto = nav.decode_step(t, enc, views, state)
+            out, proto = decode_step(nav, t, enc, views, state)
             teach = w.teacher_action(ep)
             terms.append(dc.cross_entropy(t, out.p_n, teach))
             state = nav.with_action(proto, views, teach)

@@ -87,6 +87,5 @@ def test_world_and_instruction_keep_their_config_or_raise(kw, data):
             continue
         ep = w.make_episode(g, start, goal)
         _check_teacher(g, ep)
-        instr = ins.generate_instruction(g, ep, seed=data.draw(st.integers(0, 2 ** 16)),
-                                         mask_final_phrase=data.draw(st.booleans()))
+        instr = ins.generate_instruction(g, ep, seed=data.draw(st.integers(0, 2 ** 16)))
         _check_attacks(instr)

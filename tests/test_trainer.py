@@ -41,10 +41,10 @@ def make_models(seed=0):
     return nav, att, nav_val, att_val
 
 
-def buf_of(rewards, values=None, bootstrap=0.0):
-    b = tr.RolloutBuffer(bootstrap=bootstrap)
+def buf_of(rewards, values=None):
+    b = tr.RolloutBuffer()
     for i, r in enumerate(rewards):
-        b.transitions.append(tr.Transition(state=np.zeros(2), action=0, reward=r,
+        b.transitions.append(tr.Transition(action=0, reward=r,
                                            value=0.0 if values is None else values[i]))
     return b
 
@@ -65,20 +65,14 @@ def test_returns_gamma_zero():
     assert returns == [2.0, -1.0, 3.0]
 
 
-def test_returns_bootstrap_uses_final_step_convention():
-    returns, _ = tr.compute_returns(buf_of([1.0, 1.0], bootstrap=0.5), gamma=0.9)
-    # bootstrap enters at gamma^(N-t): undamped at the last step
-    assert returns == pytest.approx([1.0 + 0.9 * 1.5, 1.5])
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_returns_match_brute_force(seed):
     rng = np.random.default_rng(seed)
     rewards = [float(r) for r in rng.choice([-3, -1, 1, 3], size=rng.integers(1, 9))]
     gamma = float(rng.uniform(0, 0.99))
-    bootstrap = float(rng.normal())
-    returns, _ = tr.compute_returns(buf_of(rewards, bootstrap=bootstrap), gamma)
-    expect = sl.discounted_returns(rewards, gamma, bootstrap)
+    returns, _ = tr.compute_returns(buf_of(rewards), gamma)
+    # every episode ends terminally, so nothing is bootstrapped
+    expect = sl.discounted_returns(rewards, gamma, bootstrap=0.0)
     np.testing.assert_allclose(returns, expect, atol=1e-6)
 
 
@@ -117,9 +111,8 @@ def _bandit_update(reward_for, cfg, steps=1, seed=0):
         p = dc.softmax(t, dc.tanh(t, logits))
         a = int(rng.integers(2))
         buf = tr.RolloutBuffer()
-        trn = tr.Transition(state=np.ones(2), action=a, reward=reward_for(a),
-                            dist=p, dist_index=a)
-        trn.value_out = vn.forward(t, trn.state)
+        trn = tr.Transition(action=a, reward=reward_for(a), dist=p, dist_index=a)
+        trn.value_out = vn.forward(t, np.ones(2))
         trn.value = trn.value_out.item()
         buf.transitions.append(trn)
         returns, advs = tr.compute_returns(buf, cfg.gamma)
@@ -137,7 +130,7 @@ def test_bandit_reinforces_rewarded_action():
     p = dc.softmax(t, dc.tanh(t, logits))
     before = p.values[0, 0]
     buf = tr.RolloutBuffer()
-    trn = tr.Transition(state=np.ones(2), action=0, reward=1.0, dist=p, dist_index=0)
+    trn = tr.Transition(action=0, reward=1.0, dist=p, dist_index=0)
     buf.transitions.append(trn)
     returns, advs = tr.compute_returns(buf, cfg.gamma)
     assert advs == [1.0]
@@ -162,8 +155,7 @@ def test_entropy_term_alone_moves_policy_toward_uniform():
         ents.append(entropy(p.values))
         buf = tr.RolloutBuffer()
         # zero advantage, zero value error: only the entropy term acts
-        trn = tr.Transition(state=np.ones(2), action=0, reward=0.0,
-                            dist=p, dist_index=0, value=0.0)
+        trn = tr.Transition(action=0, reward=0.0, dist=p, dist_index=0, value=0.0)
         buf.transitions.append(trn)
         returns, advs = tr.compute_returns(buf, cfg.gamma)
         tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
@@ -183,7 +175,7 @@ def test_value_regression_converges_on_constant_reward():
         t = Tape()
         p = dc.softmax(t, dc.tanh(t, logits))
         buf = tr.RolloutBuffer()
-        trn = tr.Transition(state=s, action=0, reward=1.0, dist=p, dist_index=0)
+        trn = tr.Transition(action=0, reward=1.0, dist=p, dist_index=0)
         trn.value_out = vn.forward(t, s)
         trn.value = trn.value_out.item()
         buf.transitions.append(trn)
@@ -199,7 +191,7 @@ def test_nan_gradient_aborts_update():
     t = Tape()
     p = dc.softmax(t, logits)
     buf = tr.RolloutBuffer()
-    trn = tr.Transition(state=np.ones(2), action=0, reward=1.0, dist=p, dist_index=0)
+    trn = tr.Transition(action=0, reward=1.0, dist=p, dist_index=0)
     trn.value_out = vn.forward(t, np.ones(2))
     buf.transitions.append(trn)
     before = logits.values.copy()
@@ -227,6 +219,17 @@ def test_rollout_clean_buffers_and_zero_sum():
     nav_r = [t.reward for t in res.nav_buffer.transitions]
     att_r = [t.reward for t in res.att_buffer.transitions]
     assert [a + n for a, n in zip(att_r, nav_r)] == [0.0] * len(nav_r)
+
+
+def test_att_learn_needs_the_learned_attacker_and_no_attack_fn():
+    item = next(it for it in make_items() if it.instruction.attackable)
+    nav, att, nav_val, att_val = make_models()
+    cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="att_learn"):
+        tr.rollout_episode(item, nav, None, "att_learn", rng, cfg, att_value=att_val)
+    with pytest.raises(ValueError, match="att_learn"):
+        tr.rollout_episode(item, nav, att, "att_learn", rng, cfg, att_value=att_val,
+                           attack_fn=lambda instr, r: instr.valid_actions()[0])
 
 
 def test_rollout_perturbs_at_most_one_token_per_step():
@@ -283,6 +286,28 @@ def test_frozen_player_bit_identical():
     att_digest = params_digest(att.params)
     tr.train_navigator(items, nav, nav_val, cfg, rng, iters=5, att=att)
     assert params_digest(att.params) == att_digest
+
+
+def test_params_digest_is_exact_for_float64():
+    one = {"w": dc.Tensor(np.array([[1.0]]), dtype=np.float64)}
+    nudged = {"w": dc.Tensor(np.array([[1.0 + 1e-12]]), dtype=np.float64)}
+    as_f32 = {"w": dc.Tensor(np.array([[1.0]]), dtype=np.float32)}
+    assert params_digest(one) != params_digest(nudged)
+    # the dtype is part of the content: equal values, different digests
+    assert params_digest(one) != params_digest(as_f32)
+    assert params_digest(one) == params_digest(
+        {"w": dc.Tensor(np.array([[1.0]]), dtype=np.float64)})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_iter", 0), ("n_iter", -3), ("n_eta", -1), ("n_pi", -1),
+    ("attacked_fraction", 1.5), ("attacked_fraction", -0.1),
+    ("harden_random", -2.0), ("harden_random", 1.01),
+    ("momentum", 1.0), ("momentum", -0.5), ("grad_clip", -1.0),
+])
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        tr.TrainConfig(**{field: value})
 
 
 def test_attacker_reward_improves_against_frozen_navigator():

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -147,7 +146,7 @@ def test_trajectory_is_a_graph_path():
     rng = np.random.default_rng(1)
     ep = w.make_episode(g, 0, g.n_nodes - 1)
     while not ep.done:
-        ep = w.step(ep, int(rng.integers(0, ep.n_actions)))
+        ep = w.step(ep, int(rng.integers(0, 1 + len(g.neighbors[ep.current]))))
     for u, v in zip(ep.trajectory, ep.trajectory[1:]):
         assert v in g.neighbors[u]
 
@@ -157,7 +156,6 @@ def test_reward_stop_at_goal():
     ep = w.make_episode(g, 0, 0)
     done = w.step(ep, w.STOP_ACTION)
     assert w.attacker_reward(ep, done) == -3.0
-    assert w.navigator_reward(ep, done) == 3.0
 
 
 def test_reward_progress_step():
@@ -178,9 +176,9 @@ def test_rewards_are_zero_sum_and_bounded():
         a, b = rng.choice(g.n_nodes, size=2, replace=False)
         ep = w.make_episode(g, int(a), int(b))
         while not ep.done:
-            ep2 = w.step(ep, int(rng.integers(0, ep.n_actions)))
+            ep2 = w.step(ep, int(rng.integers(0, 1 + len(g.neighbors[ep.current]))))
+            # the trainer pays the navigator -ra (test_rollout_clean_buffers_and_zero_sum)
             ra = w.attacker_reward(ep, ep2)
-            assert ra + w.navigator_reward(ep, ep2) == 0.0
             assert ra in (-3.0, -1.0, 1.0, 3.0)
             ep = ep2
 
@@ -201,17 +199,6 @@ def test_teacher_reaches_goal():
     assert ep.current == ep.goal
     assert w.geodesic_distance(g, ep.start, ep.goal) == pytest.approx(
         sum(g.edge_length(u, v) for u, v in zip(ep.trajectory, ep.trajectory[1:])))
-
-
-def test_world_json_round_trip(tmp_path):
-    g = small_world(seed=12)
-    path = tmp_path / "world.json"
-    w.save_world(g, path)
-    g2 = w.load_world(path)
-    assert g2.edges == g.edges
-    assert np.array_equal(g2.coords, g.coords)
-    raw = json.loads(path.read_text())
-    assert raw["config"]["seed"] == 12
 
 
 def test_landmark_features_stable_and_distinct():
