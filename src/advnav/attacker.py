@@ -20,7 +20,8 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tape, Tensor
 from .instruct import AttackAction, Instruction
-from .navigator import ModelDims, encode_tokens, init_encoder_params
+from .navigator import (ModelDims, encode_tokens, greedy_action,
+                        init_encoder_params, sample_action)
 
 
 @dataclass(frozen=True)
@@ -113,16 +114,12 @@ class Attacker:
 def select_attack(score: AttackScore, mode: str, rng=None) -> AttackAction:
     """Pick a (target, candidate) pair: argmax for greedy (ties to the lowest
     padded flat index), a draw from the joint distribution for sampling."""
-    probs = score.p_flat.values.reshape(-1)
-    if probs.size == 0:
+    if score.p_flat.values.size == 0:
         raise ValueError("attack score has no valid cells")
     if mode == "greedy":
-        row = int(np.argmax(probs))
+        row = greedy_action(score.p_flat)
     elif mode == "sample":
-        p = probs.astype(np.float64)
-        p = np.maximum(p, 0.0)
-        p /= p.sum()
-        row = int(rng.choice(len(p), p=p))
+        row = sample_action(score.p_flat, rng)
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
     j, k = score.index_map[row]

@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over small dense arrays.
 
 The engine is deliberately tiny.  A ``Tensor`` wraps a numpy array plus an
-optional same-shape gradient buffer, and a ``Tape`` records every primitive
-application in execution order.  Walking a tape backwards accumulates
-gradients into every tensor that contributed to a scalar loss.
+optional same-shape gradient, and a ``Tape`` records every primitive
+application in execution order.  Walking a tape backwards leaves each
+tensor's gradient on its own ``.grad``, intermediates and leaves alike.
+Gradient arrays may be shared between tensors (``add`` hands one array to
+both inputs), so they are read-only: replace ``.grad``, never write into it.
 
 The primitive set is closed: matrix multiply (either operand optionally
 transposed), elementwise add/multiply, concatenate, row/full softmax (with
@@ -28,7 +30,7 @@ class EngineError(Exception):
 
 
 class Tensor:
-    """Dense array with an optional gradient buffer of the same shape."""
+    """Dense array with an optional, read-only gradient of the same shape."""
 
     __slots__ = ("values", "grad")
 
@@ -59,32 +61,18 @@ class Tensor:
             raise EngineError(f"item: tensor of shape {self.values.shape} is not a scalar")
         return float(self.values.reshape(-1)[0])
 
-    def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
 
 
-class TapeEntry:
-    __slots__ = ("op", "inputs", "output", "ctx")
-
-    def __init__(self, op, inputs, output, ctx):
-        self.op = op
-        self.inputs = inputs
-        self.output = output
-        self.ctx = ctx
-
-
 class Tape:
-    """Execution-ordered record of primitive applications.
+    """Execution-ordered record of primitive applications, each an
+    ``(op, inputs, output, ctx)`` tuple.
 
     A tape and the tensors it produced are confined to a single thread.
     Distinct tapes may run their forward passes concurrently against
-    read-shared parameters, but not ``backward``: it accumulates into the
-    parameters' shared ``Tensor.grad`` buffers.
+    read-shared parameters, but not ``backward``: it sets the ``.grad`` of
+    every tensor on the tape, the shared parameters included.
     """
 
     __slots__ = ("entries",)
@@ -99,36 +87,20 @@ class Tape:
 # ---------------------------------------------------------------------------
 # primitive catalog
 
-def _softmax_array(x, axis, mask):
-    """Stabilized softmax; masked entries are exactly zero."""
-    out = np.empty_like(x)
-    if axis is None:
-        _softmax_flat(x.reshape(-1), None if mask is None else mask.reshape(-1),
-                      out.reshape(-1))
-    else:
-        for r in range(x.shape[0]):
-            _softmax_flat(x[r], None if mask is None else mask[r], out[r])
-    return out
-
-
-def _softmax_flat(row, mask, out):
-    if mask is not None and not mask.any():
+def _softmax_forward(ctx, x):
+    """Stabilized softmax; masked entries are exactly zero and never
+    exponentiated, so a large masked input cannot overflow."""
+    axis, mask = ctx
+    if mask is not None and not np.all(mask.any(axis=axis)):
         raise EngineError("softmax: all entries masked")
-    valid = row if mask is None else row[mask]
-    shifted = row - valid.max()
-    e = np.exp(shifted)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    denom = e.sum(dtype=np.float64)
-    out[...] = (e / denom).astype(row.dtype)
+    valid = True if mask is None else mask
+    top = x.max(axis=axis, keepdims=True, where=valid, initial=-np.inf)
+    e = np.exp(x - top if mask is None else np.where(mask, x - top, -np.inf))
+    return (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.dtype)
 
 
 def _softmax_backward(ctx, g, out, x):
-    axis, mask = ctx
-    if axis is None:
-        dot = np.sum(g.astype(np.float64) * out, dtype=np.float64)
-        return [(out * (g - dot)).astype(x.dtype)]
-    dot = np.sum(g.astype(np.float64) * out, axis=1, keepdims=True)
+    dot = np.sum(g.astype(np.float64) * out, axis=ctx[0], keepdims=True)
     return [(out * (g - dot)).astype(x.dtype)]
 
 
@@ -208,7 +180,7 @@ PRIMITIVES = {
         _concat_backward,
     ),
     "softmax": (
-        lambda ctx, x: _softmax_array(x, ctx[0], ctx[1]),
+        _softmax_forward,
         _softmax_backward,
     ),
     "tanh": (
@@ -249,7 +221,7 @@ def _apply(tape, op, inputs, ctx=(None,)):
         raise EngineError(f"{op}: incompatible shapes {shapes}: {exc}") from exc
     out = Tensor._wrap(arr)
     if tape is not None:
-        tape.entries.append(TapeEntry(op, tuple(inputs), out, ctx))
+        tape.entries.append((op, tuple(inputs), out, ctx))
     return out
 
 
@@ -415,36 +387,36 @@ def init_lstm_params(rng, input_dim, hidden_dim, prefix="", dtype=np.float32):
 # backward pass
 
 def backward(tape, loss):
-    """Accumulate d(loss)/d(leaf) into ``.grad`` for every contributing leaf.
+    """Set ``.grad`` to d(loss)/d(tensor) for every tensor on the tape.
 
-    Leaf gradients add across fan-out and across calls; reset with
-    ``zero_grads``.  Intermediate tensors get their grads overwritten per
-    call.  Leaves that do not contribute to the loss end with zero grads.
+    Tensors the tape produced get their grads overwritten per call; tensors
+    it did not produce (leaves: parameters, constants) add onto the grads
+    they hold, across fan-out and across calls; reset them with
+    ``zero_grads``.  Inputs that do not contribute to the loss end with zero
+    grads.  Accumulation is always out of place, because ``add`` and
+    ``concat`` hand one array (or views of it) to several tensors: the grad
+    arrays are shared and read-only.
     """
     if loss.values.size != 1:
         raise EngineError(f"backward: loss must be scalar, got shape {loss.values.shape}")
-    if not any(e.output is loss for e in tape.entries):
+    on_tape = False
+    for _, _, out, _ in tape.entries:
+        out.grad = None
+        on_tape = on_tape or out is loss
+    if not on_tape:
         raise EngineError("backward: loss is not produced by this tape")
-    produced = {id(e.output) for e in tape.entries}
-    flow = {id(loss): np.ones_like(loss.values)}
-    for e in reversed(tape.entries):
-        g = flow.get(id(e.output))
+    loss.grad = np.ones_like(loss.values)
+    for op, inputs, out, ctx in reversed(tape.entries):
+        g = out.grad
         if g is None:
             continue
-        e.output.grad = g
-        grads = PRIMITIVES[e.op][1](e.ctx, g, e.output.values,
-                                    *[t.values for t in e.inputs])
-        for t, gi in zip(e.inputs, grads):
-            if gi is None:
-                continue
+        grads = PRIMITIVES[op][1](ctx, g, out.values, *[t.values for t in inputs])
+        for t, gi in zip(inputs, grads):
+            # a fresh sum, never +=: gi and t.grad may be shared arrays
             gi = gi.astype(t.values.dtype, copy=False)
-            if id(t) in produced:
-                prev = flow.get(id(t))
-                flow[id(t)] = gi if prev is None else prev + gi
-            else:
-                t.accumulate_grad(gi)
-    for e in tape.entries:
-        for t in e.inputs:
+            t.grad = gi if t.grad is None else t.grad + gi
+    for _, inputs, _, _ in tape.entries:
+        for t in inputs:
             if t.grad is None:
                 t.grad = np.zeros_like(t.values)
 

@@ -58,18 +58,21 @@ class TrainConfig:
     value_hidden: int = 32
 
     def __post_init__(self):
-        for name in ("gamma", "momentum"):
+        for name in ("gamma", "att_gamma", "momentum"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
         for name in ("attacked_fraction", "harden_random"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("lr", "rl_weight", "entropy_weight", "value_weight",
-                     "il_weight", "aux_weight", "grad_clip", "n_eta", "n_pi"):
+                     "il_weight", "aux_weight", "att_lr", "att_rl_weight",
+                     "att_value_weight", "att_entropy_weight", "grad_clip",
+                     "n_eta", "n_pi"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be at least 1")
+        for name in ("n_iter", "value_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def for_attacker(self) -> "TrainConfig":
         from dataclasses import replace
@@ -154,8 +157,9 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     ``attack_fn(instruction, rng) -> AttackAction`` stands in for the
     learned attacker while the navigator learns ('nav_learn',
     'nav_teacher'): ``adversarial_train`` hardens against random
-    substitutions this way.  'att_learn' needs ``att`` and refuses
-    ``attack_fn``.  Passing ``tape`` lets several rollouts share one update.
+    substitutions this way.  'att_learn' needs ``att`` and an attackable
+    instruction, and refuses ``attack_fn``.  Passing ``tape`` lets several
+    rollouts share one update.
     """
     graph, ep, instr = item.world, item.episode, item.instruction
     nav_teacher = mode == "nav_teacher"
@@ -163,8 +167,9 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     att_learn = mode == "att_learn"
     if mode not in ("eval", "nav_learn", "nav_teacher", "att_learn"):
         raise ValueError(f"unknown rollout mode {mode!r}")
-    if att_learn and (att is None or attack_fn is not None):
-        raise ValueError("'att_learn' needs the learned attacker and no attack_fn")
+    if att_learn and (att is None or attack_fn is not None or not instr.attackable):
+        raise ValueError("'att_learn' needs the learned attacker, no attack_fn "
+                         "and an attackable instruction")
     attacking = (att is not None or attack_fn is not None) and instr.attackable
 
     if tape is None and (nav_learn or att_learn):
@@ -335,9 +340,7 @@ def a2c_update(tape: Tape, buf: RolloutBuffer, returns, advantages,
             diag["aux"] += aux.item()
     if not terms:
         raise ValueError("no learnable transitions in buffer")
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = dc.add(tape, loss, term)
+    loss = dc.sum_reduce(tape, dc.concat(tape, terms, axis=0))
     dc.backward(tape, loss)
 
     groups = [("pol.", policy_params), ("val.", value_params)]

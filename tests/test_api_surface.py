@@ -25,7 +25,6 @@ ALLOWED = {
     "max_rel_error": "error measure of the gradient tests",
     "train_attacker": "attacker pretraining, the paper's second stage",
     "PerturbedInstruction.timestep": "perfbench's probe passes apply_perturbation a timestep",
-    "sum_reduce": "a primitive whose per-layer metrics BENCHMARK.json names",
     "Vocabulary.decode": "renders instructions as words for the planned run traces",
 }
 

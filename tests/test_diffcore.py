@@ -142,6 +142,13 @@ def test_softmax_masked_cells_exactly_zero():
     loss = cross_entropy(t, p, 0)
     backward(t, loss)
     assert x.grad[0, 1] == 0.0 and x.grad[0, 3] == 0.0
+    # a masked cell far above the valid ones is never exponentiated
+    big = softmax(None, constant([[1000.0, 0.0, 1.0]]), mask=[[False, True, True]])
+    np.testing.assert_allclose(big.values, [[0.0, 0.2689414, 0.7310586]], rtol=1e-6)
+    assert big.values[0, 0] == 0.0
+    with pytest.raises(EngineError, match="all entries masked"):
+        softmax(None, constant([[1.0, 2.0], [3.0, 4.0]]), axis=1,
+                mask=[[True, False], [False, False]])
 
 
 def test_softmax_rows_sum_to_one_and_finite_for_large_inputs():
@@ -258,6 +265,19 @@ def test_determinism_two_fresh_tapes():
     assert np.array_equal(run(), run())
 
 
+def test_shared_grad_arrays_are_not_written_in_place():
+    # add hands one gradient array to both inputs; a later backward that
+    # reaches only one of them must not change the other's grad
+    a, b = constant([[1.0, 2.0]]), constant([[3.0, 4.0]])
+    t = Tape()
+    backward(t, sum_reduce(t, add(t, a, b)))
+    before = b.grad.copy()
+    t2 = Tape()
+    backward(t2, sum_reduce(t2, multiply(t2, a, a)))
+    np.testing.assert_array_equal(b.grad, before)
+    np.testing.assert_array_equal(a.grad, [[3.0, 5.0]])
+
+
 def test_zero_grads_and_reaccumulation():
     x = constant([[1.0, 2.0]])
     t = Tape()
@@ -309,7 +329,7 @@ def test_rowdot_and_attend_match_earlier_compositions(seed):
     t = Tape()
     rowdot(t, a, b)
     attend(t, w, a)
-    assert [e.op for e in t.entries] == ["matmul", "matmul"]
+    assert [e[0] for e in t.entries] == ["matmul", "matmul"]
 
 
 def test_sigmoid_matches_earlier_form_without_fp_warnings():

@@ -230,6 +230,13 @@ def test_att_learn_needs_the_learned_attacker_and_no_attack_fn():
     with pytest.raises(ValueError, match="att_learn"):
         tr.rollout_episode(item, nav, att, "att_learn", rng, cfg, att_value=att_val,
                            attack_fn=lambda instr, r: instr.valid_actions()[0])
+    vocab = ins.build_vocabulary()
+    flat = ins.make_instruction(tuple(vocab.id_of(x) for x in
+                                      "walk past the table then the table".split()), vocab)
+    assert not flat.attackable
+    with pytest.raises(ValueError, match="att_learn"):
+        tr.attacker_update(item._replace(instruction=flat), nav, att, att_val,
+                           cfg.for_attacker(), rng)
 
 
 def test_rollout_perturbs_at_most_one_token_per_step():
@@ -304,6 +311,9 @@ def test_params_digest_is_exact_for_float64():
     ("attacked_fraction", 1.5), ("attacked_fraction", -0.1),
     ("harden_random", -2.0), ("harden_random", 1.01),
     ("momentum", 1.0), ("momentum", -0.5), ("grad_clip", -1.0),
+    ("att_gamma", 1.5), ("att_gamma", -0.1), ("att_lr", -1.0),
+    ("att_rl_weight", -1.0), ("att_value_weight", -0.5),
+    ("att_entropy_weight", -0.01), ("value_hidden", 0),
 ])
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
