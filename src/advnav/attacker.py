@@ -60,7 +60,7 @@ class Attacker:
         return self.params["embed"].dtype
 
     def encode(self, tape: Optional[Tape], instr: Instruction) -> AttackerEncoding:
-        """Encode the original instruction once per episode."""
+        """Encode the original instruction; the trainer does so once per update."""
         u = encode_tokens(tape, self.params, instr.tokens)
         f_w = dc.gather_rows(tape, u, list(instr.target_set))
         cand_feats = tuple(

@@ -81,27 +81,36 @@ def init_encoder_params(rng, vocab, d_w, dtype=np.float32) -> dict:
     return p
 
 
-def encode_tokens(tape: Optional[Tape], params: dict, tokens) -> Tensor:
-    """Embed ``tokens`` and run both recurrence directions -> (L, d_w) rows."""
+def encode_tokens(tape: Optional[Tape], params: dict, tokens,
+                  memo: Optional[dict] = None) -> Tensor:
+    """Embed ``tokens`` and run both recurrence directions -> (L, d_w) rows.
+
+    ``memo`` keeps each cell under (prefix, input h or None, token) and each
+    embedding row under its token, so encodes sharing it run each distinct
+    cell once: after a one-word swap at p, only the forward cells from p and
+    the backward cells down from p run.  Share it on one tape and ``params``.
+    """
     if len(tokens) == 0:
         raise ValueError("cannot encode an empty instruction")
+    memo = {} if memo is None else memo
     embed = params["embed"]
-    half = embed.values.shape[1] // 2
-    embs = [dc.embedding(tape, embed, (t,)) for t in tokens]
-
-    def run(direction, prefix):
-        h = dc.zeros((1, half), dtype=embed.dtype)
-        c = dc.zeros((1, half), dtype=embed.dtype)
-        outs = [None] * len(tokens)
-        for i in direction:
-            h, c = dc.lstm_cell(tape, embs[i], h, c, params, prefix=prefix)
+    zero = dc.zeros((1, embed.values.shape[1] // 2), dtype=embed.dtype)
+    cols = []
+    for prefix, order in (("enc_f.", range(len(tokens))),
+                          ("enc_b.", range(len(tokens) - 1, -1, -1))):
+        h, c, outs = None, zero, [None] * len(tokens)
+        for i in order:
+            t = tokens[i]
+            key = (prefix, h, t)
+            if key not in memo:
+                if t not in memo:
+                    memo[t] = dc.embedding(tape, embed, (t,))
+                memo[key] = dc.lstm_cell(tape, memo[t], zero if h is None else h, c,
+                                         params, prefix=prefix)
+            h, c = memo[key]
             outs[i] = h
-        return outs
-
-    fwd = run(range(len(tokens)), "enc_f.")
-    bwd = run(range(len(tokens) - 1, -1, -1), "enc_b.")
-    rows = [dc.concat(tape, [f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return dc.concat(tape, rows, axis=0) if len(rows) > 1 else rows[0]
+        cols.append(dc.concat(tape, outs, axis=0))
+    return dc.concat(tape, cols, axis=1)
 
 
 class Navigator:
@@ -133,9 +142,11 @@ class Navigator:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode(self, tape: Optional[Tape], tokens, target_set=()) -> EncodedInstruction:
-        """Embed tokens and run both recurrence directions; gather target rows."""
-        u = encode_tokens(tape, self.params, tokens)
+    def encode(self, tape: Optional[Tape], tokens, target_set=(),
+               memo: Optional[dict] = None) -> EncodedInstruction:
+        """Embed tokens and run both recurrence directions; gather target rows.
+        ``memo`` shares cells between encodes on one tape (``encode_tokens``)."""
+        u = encode_tokens(tape, self.params, tokens, memo)
         f_w = dc.gather_rows(tape, u, list(target_set)) if target_set else None
         return EncodedInstruction(u=u, f_w=f_w, target_set=tuple(target_set),
                                   tokens=tuple(tokens))

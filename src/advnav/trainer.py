@@ -1,12 +1,13 @@
 """Advantage actor-critic training for both players, plus the alternating
 adversarial schedule.
 
-Per episode one rollout is collected and one gradient step taken.  A rollout
-walks the navigator step by step: visual attention first (its output is the
-shared RL state), then the attacking player may substitute one word of the
-original instruction, the navigator encodes whatever token sequence it
-receives and finishes the step, and the environment moves.  Rewards are
-framed zero-sum: whatever the attacker gains the navigator loses.
+Each update collects its rollouts on one tape, sharing their encodings
+(``UpdateEncodings``), and takes one gradient step.  A rollout walks the
+navigator step by step: visual attention first (its output is the shared RL
+state), then the attacking player may substitute one word of the original
+instruction, the navigator encodes whatever token sequence it receives and
+finishes the step, and the environment moves.  Rewards are framed
+zero-sum: whatever the attacker gains the navigator loses.
 
 Every episode ends terminally (the navigator stops or reaches the horizon),
 so returns are the plain discounted reward sums with no bootstrap term;
@@ -132,6 +133,17 @@ class RolloutBuffer:
 
 
 @dataclass
+class UpdateEncodings:
+    """The encoders' work one update's rollouts share, so that each encoder
+    cell runs once per update.  Bound to the (navigator, attacker) tapes of
+    the first rollout: a tensor taped elsewhere would pass back no gradient."""
+    tapes: Optional[tuple] = None
+    memo: dict = field(default_factory=dict)    # the navigator's encoder cells
+    nav: dict = field(default_factory=dict)     # tokens -> EncodedInstruction
+    att: Optional[AttackerEncoding] = None      # of the original instruction
+
+
+@dataclass
 class RolloutResult:
     nav_buffer: RolloutBuffer
     att_buffer: Optional[RolloutBuffer]
@@ -146,7 +158,8 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
                     att_value: Optional[ValueNet] = None,
                     attack_fn: Optional[Callable] = None,
                     record_trace: bool = False,
-                    tape: Optional[Tape] = None) -> RolloutResult:
+                    tape: Optional[Tape] = None,
+                    encodings: Optional[UpdateEncodings] = None) -> RolloutResult:
     """Play one episode.
 
     mode selects the learner: 'nav_learn' tapes and samples the navigator
@@ -159,7 +172,8 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     'nav_teacher'): ``adversarial_train`` hardens against random
     substitutions this way.  'att_learn' needs ``att`` and an attackable
     instruction, and refuses ``attack_fn``.  Passing ``tape`` lets several
-    rollouts share one update.
+    rollouts share one update, and passing them one ``encodings`` lets them
+    share the encoder's work too; without it each rollout gets its own.
     """
     graph, ep, instr = item.world, item.episode, item.instruction
     nav_teacher = mode == "nav_teacher"
@@ -177,15 +191,17 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     nav_tape = tape if nav_learn else None
     att_tape = tape if att_learn else None
 
-    att_enc: Optional[AttackerEncoding] = None
-    if attacking and att is not None:
-        att_enc = att.encode(att_tape, instr)
+    encs = encodings or UpdateEncodings()
+    encs.tapes = encs.tapes or (nav_tape, att_tape)
+    if encs.tapes != (nav_tape, att_tape):     # tapes compare by identity
+        raise ValueError("shared encodings were made on other tapes")
+    if attacking and att is not None and encs.att is None:
+        encs.att = att.encode(att_tape, instr)
 
     nav_buf = RolloutBuffer()
     att_buf = RolloutBuffer() if attacking else None
     trace = []
     state = nav.initial_state()
-    enc_cache = {}
     t = 0
     while not ep.done:
         views = Tensor(graph.candidate_views(ep.current))
@@ -197,7 +213,7 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
             if attack_fn is not None:
                 action_att = attack_fn(instr, rng)
             else:
-                score = att.attack_score(att_tape, att_enc, s_t)
+                score = att.attack_score(att_tape, encs.att, s_t)
                 if att_learn:
                     action_att = select_attack(score, "sample", rng)
                     att_dist = score.p_flat
@@ -205,18 +221,14 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
                 else:
                     action_att = select_attack(score, "greedy")
 
-        if action_att is not None:
-            pert = apply_perturbation(instr, action_att, t)
-            tokens_t = pert.tokens
-        else:
-            tokens_t = instr.tokens
+        tokens_t = instr.tokens if action_att is None \
+            else apply_perturbation(instr, action_att, t).tokens
 
-        enc = enc_cache.get(tokens_t)
-        if enc is None:
-            # token sequences repeat across steps; reuse their encodings
-            enc = nav.encode(nav_tape, tokens_t, instr.target_set)
-            enc_cache[tokens_t] = enc
-        out, proto = nav.decode_with_visual(nav_tape, enc, views, f_v, state)
+        if tokens_t not in encs.nav:
+            encs.nav[tokens_t] = nav.encode(nav_tape, tokens_t, instr.target_set,
+                                            memo=encs.memo)
+        out, proto = nav.decode_with_visual(nav_tape, encs.nav[tokens_t], views,
+                                            f_v, state)
 
         teacher = wd.teacher_action(ep)
         if nav_teacher:
@@ -425,12 +437,12 @@ def validate_navigator(items, nav, cfg, att=None, seed=0):
 def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None,
                      attack_fn=None):
     """One mixed update: a teacher-forced rollout supplies the imitation
-    terms, a sampled rollout the policy-gradient terms, on a shared tape."""
+    terms, a sampled rollout the policy-gradient terms, sharing tape and encodings."""
     tape = Tape()
-    res_il = rollout_episode(item, nav, att, "nav_teacher", rng, cfg, tape=tape,
-                             attack_fn=attack_fn)
+    shared = dict(tape=tape, attack_fn=attack_fn, encodings=UpdateEncodings())
+    res_il = rollout_episode(item, nav, att, "nav_teacher", rng, cfg, **shared)
     res_rl = rollout_episode(item, nav, att, "nav_learn", rng, cfg,
-                             nav_value=nav_value, tape=tape, attack_fn=attack_fn)
+                             nav_value=nav_value, **shared)
     returns, advs = compute_returns(res_rl.nav_buffer, cfg.gamma)
     buf = RolloutBuffer(transitions=res_il.nav_buffer.transitions
                         + res_rl.nav_buffer.transitions,

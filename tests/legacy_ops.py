@@ -1,16 +1,24 @@
-"""The earlier compositions of ``rowdot``, ``attend`` and the ``sigmoid``
-forward, rebuilt from public ``diffcore`` primitives.
+"""The earlier compositions of ``rowdot``, ``attend``, the ``sigmoid``
+forward and the instruction encoder, rebuilt from public ``diffcore``
+primitives.
 
 ``rowdot`` and ``attend`` were 3-op chains over ones-matrices (tile,
 multiply, reduce by matmul) and the sigmoid forward split its input by sign
 with two ``exp`` calls.  They stay here as parity references for the
 one-op forms, and ``legacy_numerics`` swaps them back into ``diffcore`` so
 a run can reproduce the earlier float arithmetic bit for bit.
+
+The encoder ran all 2L cells of every sequence with one embedding lookup
+per position, and each rollout kept its own encodings; ``legacy_encoding``
+swaps that back in.
 """
 
 import numpy as np
 
+from advnav import attacker
 from advnav import diffcore as dc
+from advnav import navigator
+from advnav import trainer
 
 
 def _ones(shape, dtype):
@@ -46,3 +54,39 @@ def legacy_numerics(monkeypatch):
     monkeypatch.setattr(dc, "attend", attend)
     monkeypatch.setitem(dc.PRIMITIVES, "sigmoid",
                         (sigmoid_forward, dc.PRIMITIVES["sigmoid"][1]))
+
+
+def encode_tokens(tape, params, tokens, memo=None):
+    """The encoder before cell sharing; ``memo`` is ignored."""
+    if len(tokens) == 0:
+        raise ValueError("cannot encode an empty instruction")
+    embed = params["embed"]
+    half = embed.values.shape[1] // 2
+    embs = [dc.embedding(tape, embed, (t,)) for t in tokens]
+
+    def run(direction, prefix):
+        h = dc.zeros((1, half), dtype=embed.dtype)
+        c = dc.zeros((1, half), dtype=embed.dtype)
+        outs = [None] * len(tokens)
+        for i in direction:
+            h, c = dc.lstm_cell(tape, embs[i], h, c, params, prefix=prefix)
+            outs[i] = h
+        return outs
+
+    fwd = run(range(len(tokens)), "enc_f.")
+    bwd = run(range(len(tokens) - 1, -1, -1), "enc_b.")
+    rows = [dc.concat(tape, [f, b], axis=1) for f, b in zip(fwd, bwd)]
+    return dc.concat(tape, rows, axis=0) if len(rows) > 1 else rows[0]
+
+
+def legacy_encoding(monkeypatch):
+    """Route both players through the earlier encoder for one test, and give
+    each rollout its own encodings, as before they were shared per update."""
+    rollout = trainer.rollout_episode
+
+    def own_encodings(*args, encodings=None, **kwargs):
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(navigator, "encode_tokens", encode_tokens)
+    monkeypatch.setattr(attacker, "encode_tokens", encode_tokens)
+    monkeypatch.setattr(trainer, "rollout_episode", own_encodings)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import legacy_ops
 import straightline as sl
 from advnav import diffcore as dc
 from advnav.diffcore import Tape, Tensor, backward, max_rel_error, numeric_gradient
-from advnav.navigator import (ModelDims, Navigator, greedy_action, sample_action)
+from advnav.navigator import (ModelDims, Navigator, encode_tokens, greedy_action,
+                              sample_action)
 
 DIMS = ModelDims(d_w=8, d_v=6, d_p=5, d_h=7)
 VOCAB = 12
@@ -40,6 +42,55 @@ def test_swapping_identical_tokens_leaves_encoding_unchanged():
     a = nav.encode(None, tokens).u.values
     b = nav.encode(None, swapped).u.values
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_memo_shared_encodes_of_one_word_swaps_equal_fresh_encodes(dtype):
+    # a rollout encodes the original tokens and then one-word swaps of them;
+    # cells shared through the memo must give what a full re-encode gives
+    rng = np.random.default_rng(21)
+    nav = make_nav(21, dtype=dtype)
+    p = sl.np_params(nav.params)
+    for length in (1, 2, 5, 40):
+        tokens = tuple(int(t) for t in rng.integers(0, VOCAB, size=length))
+        memo = {}
+        nav.encode(None, tokens, memo=memo)
+        for pos in range(length):
+            new = (tokens[pos] + int(rng.integers(1, VOCAB))) % VOCAB
+            swapped = tokens[:pos] + (new,) + tokens[pos + 1:]
+            shared = nav.encode(None, swapped, target_set=(pos,), memo=memo)
+            fresh = nav.encode(None, swapped, target_set=(pos,))
+            assert np.array_equal(shared.u.values, fresh.u.values), (length, pos)
+            assert np.array_equal(shared.f_w.values, fresh.f_w.values)
+            u, _ = sl.encode(p, swapped, (), DIMS.d_w)
+            np.testing.assert_allclose(shared.u.values, u, rtol=0,
+                                       atol=1e-12 if dtype == np.float64 else 1e-6)
+
+
+def test_memo_shared_encodes_match_fresh_encodes_in_gradient():
+    nav = make_nav(23, dtype=np.float64)
+    rng = np.random.default_rng(23)
+    tokens = (1, 5, 2, 7, 3, 5)
+    swapped = (1, 5, 9, 7, 3, 5)
+    weights = Tensor(rng.normal(size=(2 * len(tokens), DIMS.d_w)), dtype=np.float64)
+
+    def grads(encode):
+        t = Tape()
+        rows = dc.concat(t, [encode(t, tokens), encode(t, swapped)], axis=0)
+        backward(t, dc.sum_reduce(t, dc.multiply(t, rows, weights)))
+        out = {k: q.grad.copy() for k, q in nav.params.items() if q.grad is not None}
+        dc.zero_grads(nav.params)
+        return out, len(t)
+
+    memo = {}
+    shared, shared_ops = grads(lambda t, x: encode_tokens(t, nav.params, x, memo))
+    fresh, fresh_ops = grads(lambda t, x: encode_tokens(t, nav.params, x))
+    earlier, _ = grads(lambda t, x: legacy_ops.encode_tokens(t, nav.params, x))
+    assert shared_ops < fresh_ops
+    for other in (fresh, earlier):
+        assert sorted(shared) == sorted(other)
+        for k in other:
+            assert max_rel_error(shared[k], other[k]) < 1e-9, k
 
 
 def test_zero_language_attention_weights_give_uniform_alpha_w():

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import straightline as sl
-from legacy_ops import legacy_numerics
+from legacy_ops import legacy_encoding, legacy_numerics
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import trainer as tr
 from advnav import world as w
 from advnav.attacker import Attacker
 from advnav.checkpoint import params_digest
-from advnav.diffcore import Tape
+from advnav.diffcore import Tape, max_rel_error
 from advnav.navigator import ModelDims, Navigator
 
 DIMS = ModelDims(d_w=16, d_v=32, d_p=16, d_h=16)
@@ -31,13 +31,12 @@ def make_items(n_worlds=2, episodes=4, seed=0):
     return items
 
 
-def make_models(seed=0):
-    vocab_size = len(ins.build_vocabulary())
+def make_models(seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    nav = Navigator.create(rng, ins.build_vocabulary(), DIMS)
-    att = Attacker.create(rng, ins.build_vocabulary(), DIMS)
-    nav_val = tr.ValueNet.create(rng, DIMS.d_v)
-    att_val = tr.ValueNet.create(rng, DIMS.d_v)
+    nav = Navigator.create(rng, ins.build_vocabulary(), DIMS, dtype=dtype)
+    att = Attacker.create(rng, ins.build_vocabulary(), DIMS, dtype=dtype)
+    nav_val = tr.ValueNet.create(rng, DIMS.d_v, dtype=dtype)
+    att_val = tr.ValueNet.create(rng, DIMS.d_v, dtype=dtype)
     return nav, att, nav_val, att_val
 
 
@@ -239,6 +238,100 @@ def test_att_learn_needs_the_learned_attacker_and_no_attack_fn():
                            cfg.for_attacker(), rng)
 
 
+def test_shared_encodings_are_bound_to_their_tapes():
+    item = next(it for it in make_items() if it.instruction.attackable)
+    nav, att, nav_val, att_val = make_models()
+    cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
+    encodings = tr.UpdateEncodings()
+    res = tr.rollout_episode(item, nav, att, "nav_learn", rng, cfg,
+                             nav_value=nav_val, encodings=encodings)
+    tr.rollout_episode(item, nav, att, "nav_teacher", rng, cfg, tape=res.tape,
+                       encodings=encodings)
+    # the frozen attacker's encoding is untaped, and the navigator's cells
+    # live on res.tape: neither may feed a rollout on another tape
+    with pytest.raises(ValueError, match="other tapes"):
+        tr.rollout_episode(item, nav, att, "att_learn", rng, cfg,
+                           att_value=att_val, encodings=encodings)
+    with pytest.raises(ValueError, match="other tapes"):
+        tr.rollout_episode(item, nav, att, "nav_learn", rng, cfg,
+                           nav_value=nav_val, encodings=encodings)
+    with pytest.raises(ValueError, match="other tapes"):
+        tr.rollout_episode(item, nav, att, "eval", rng, cfg, encodings=encodings)
+
+
+def _count_encoder_work(monkeypatch, nav):
+    """Count the navigator's encoder cells, the token sequences it encodes
+    and the attacker's encodes, as a caller of each sees them."""
+    counts = {"cells": 0, "seqs": set(), "att_encodes": 0}
+    cell, nav_encode, att_encode = dc.lstm_cell, Navigator.encode, Attacker.encode
+
+    def counting_cell(tape, x, h, c, params, prefix=""):
+        if prefix.startswith("enc_") and params is nav.params:
+            counts["cells"] += 1
+        return cell(tape, x, h, c, params, prefix=prefix)
+
+    def counting_nav_encode(self, tape, tokens, *args, **kwargs):
+        counts["seqs"].add(tuple(tokens))
+        return nav_encode(self, tape, tokens, *args, **kwargs)
+
+    def counting_att_encode(self, *args, **kwargs):
+        counts["att_encodes"] += 1
+        return att_encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(dc, "lstm_cell", counting_cell)
+    monkeypatch.setattr(Navigator, "encode", counting_nav_encode)
+    monkeypatch.setattr(Attacker, "encode", counting_att_encode)
+    return counts
+
+
+def test_navigator_update_runs_each_encoder_cell_once(monkeypatch):
+    items = [it for it in make_items() if it.instruction.attackable][:3]
+    nav, att, nav_val, _ = make_models()
+    counts = _count_encoder_work(monkeypatch, nav)
+    cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
+    for item in items:
+        tokens = item.instruction.tokens
+        n = len(tokens)
+        for opponent, attack_fn in ((None, None), (att, None),
+                                    (None, tr._random_attack_fn)):
+            counts.update(cells=0, seqs=set(), att_encodes=0)
+            tr.navigator_update(item, nav, nav_val, cfg, rng, att=opponent,
+                                attack_fn=attack_fn)
+            swapped = len(counts["seqs"] - {tokens})
+            if opponent is None and attack_fn is None:
+                assert counts["cells"] == 2 * n
+            else:
+                assert swapped >= 1
+                # a swap at p re-runs forward cells p..n-1 and backward p..0
+                assert counts["cells"] <= 2 * n + (n + 1) * swapped
+            assert counts["att_encodes"] == (opponent is not None)
+
+
+@pytest.mark.parametrize("opponent", ["clean", "learned", "random"])
+def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatch):
+    # shared cells regroup the gradient sums; float64 steps must still agree
+    item = next(it for it in make_items() if it.instruction.attackable)
+
+    def steps():
+        nav, att, nav_val, _ = make_models(seed=3, dtype=np.float64)
+        params = {**{"nav." + k: q for k, q in nav.params.items()},
+                  **{"val." + k: q for k, q in nav_val.params.items()}}
+        before = {k: q.values.copy() for k, q in params.items()}
+        tr.navigator_update(item, nav, nav_val, tr.TrainConfig(),
+                            np.random.default_rng(5),
+                            att=att if opponent == "learned" else None,
+                            attack_fn=tr._random_attack_fn if opponent == "random"
+                            else None)
+        return {k: q.values - before[k] for k, q in params.items()}
+
+    new = steps()
+    legacy_encoding(monkeypatch)
+    old = steps()
+    assert any(np.any(v != 0) for v in new.values())
+    for k in old:
+        assert max_rel_error(new[k], old[k]) < 1e-9, k
+
+
 def test_rollout_perturbs_at_most_one_token_per_step():
     items = [it for it in make_items() if it.instruction.attackable]
     nav, att, nav_val, att_val = make_models()
@@ -348,10 +441,12 @@ def test_training_is_deterministic_for_fixed_seed():
 
 def test_adversarial_train_reproduces_pinned_digests(monkeypatch):
     # Digests of this run as first recorded (numpy 2.4.6, OpenBLAS, x86-64).
-    # With the earlier float compositions swapped back in, the shared encoder,
-    # the single attacker update, the row lookups and the one-op attack score
-    # must reproduce them bit for bit.
+    # With the earlier float compositions and the earlier per-rollout
+    # encoder swapped back in, the shared encoder, the single attacker
+    # update, the row lookups and the one-op attack score must reproduce
+    # them bit for bit.
     legacy_numerics(monkeypatch)
+    legacy_encoding(monkeypatch)
     items = make_items(n_worlds=1, episodes=3)
     nav, att, nav_val, att_val = make_models(seed=7)
     cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
@@ -361,3 +456,19 @@ def test_adversarial_train_reproduces_pinned_digests(monkeypatch):
         "8ef3ddadb56859b8bc976b2aabd3559156e7b49ec776c8814a59314b3bef8e7a"
     assert params_digest(att.params) == \
         "426c83733086bfb878699f1c6da8e68c40bc4c9bd54e84f45b170d9e891f4fdf"
+
+
+def test_adversarial_train_pins_shared_encoding_digests():
+    # The same run on the current path.  Encodes that share cells sum the
+    # encoder's gradients in another order than per-rollout encodes, so
+    # these digests differ from the ones above; the float64 parity of
+    # test_navigator_update_steps_match_per_rollout_encodings bounds the gap.
+    items = make_items(n_worlds=1, episodes=3)
+    nav, att, nav_val, att_val = make_models(seed=7)
+    cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
+    tr.adversarial_train(items, nav, att, nav_val, att_val, cfg,
+                         np.random.default_rng(42))
+    assert params_digest(nav.params) == \
+        "3521ae2a158013b3e1513565521f1ff14176e1b6db1a2e1296dbeaf9180c572d"
+    assert params_digest(att.params) == \
+        "50fdb775d1247adca5168d86f358487b86447cec1ddbd8c46e3600340cdac1df"
