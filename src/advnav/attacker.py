@@ -2,12 +2,15 @@
 
 The attacker owns its instruction encoder parameters (the navigator's
 BiLSTM form, never shared with the victim) and always encodes the original
-instruction.  Each step it scores every (target word, candidate word) pair:
-a word-importance distribution over targets driven by the current attended
-visual feature, a per-target substitution-impact distribution over that
-target's candidates, and a final joint distribution over all valid pairs
-from the elementwise product of the two.  Invalid (padded) cells carry
-exactly zero probability.
+instruction.  Every candidate is another target word of the same
+instruction, so each step scores the L'×L' target grid: cell (j, i) stands
+for replacing target j with target i's word, and ``valid`` marks the cells
+where that word is one of target j's candidates.  A word-importance
+distribution over targets is driven by the current attended visual
+feature, a per-row substitution-impact distribution runs over each target's
+candidates, and the joint distribution over the grid comes from the
+elementwise product of the two.  Cells off ``valid`` carry exactly zero
+probability.
 """
 
 from __future__ import annotations
@@ -28,17 +31,18 @@ from .navigator import (ModelDims, encode_tokens, greedy_action,
 class AttackerEncoding:
     u: Tensor                  # (L, d_w) token features of the original tokens
     f_w: Tensor                # (L', d_w) target-word features
-    cand_feats: tuple          # per target: (K_j, d_w) candidate-word features
+    valid: np.ndarray          # (L', L') bool: target i's word is a candidate of j
+    index_map: tuple           # flat grid cell -> (j, k), or None off ``valid``
     instruction: Instruction
 
 
 @dataclass(frozen=True)
 class AttackScore:
     beta: np.ndarray           # (L',) word importance
-    gamma: np.ndarray          # (L', K_max) substitution impact, padded
-    valid: np.ndarray          # (L', K_max) bool mask of real cells
-    p_flat: Tensor             # (sum K_j, 1) joint distribution over valid cells
-    index_map: tuple           # row of p_flat -> (j, k)
+    gamma: np.ndarray          # (L', L') substitution impact in the model dtype
+    valid: np.ndarray          # (L', L') bool mask of real cells
+    p_flat: Tensor             # (L', L') joint distribution, read flat (row-major)
+    index_map: tuple           # flat cell of p_flat -> (j, k), or None off valid
 
 
 class Attacker:
@@ -60,14 +64,19 @@ class Attacker:
         return self.params["embed"].dtype
 
     def encode(self, tape: Optional[Tape], instr: Instruction) -> AttackerEncoding:
-        """Encode the original instruction; the trainer does so once per update."""
+        """Encode the original instruction and lay its candidates on the
+        target grid; the trainer does so once per update."""
         u = encode_tokens(tape, self.params, instr.tokens)
         f_w = dc.gather_rows(tape, u, list(instr.target_set))
-        cand_feats = tuple(
-            dc.gather_rows(tape, u, [c.source_pos for c in cands]) if cands else None
-            for cands in instr.candidates)
-        return AttackerEncoding(u=u, f_w=f_w, cand_feats=cand_feats,
-                                instruction=instr)
+        n = instr.n_targets
+        column = {pos: i for i, pos in enumerate(instr.target_set)}
+        index_map = [None] * (n * n)
+        for j, cands in enumerate(instr.candidates):
+            for k, c in enumerate(cands):
+                index_map[j * n + column[c.source_pos]] = (j, k)
+        valid = np.array([c is not None for c in index_map], dtype=bool).reshape(n, n)
+        return AttackerEncoding(u=u, f_w=f_w, valid=valid,
+                                index_map=tuple(index_map), instruction=instr)
 
     def attack_score(self, tape, enc: AttackerEncoding, visual_state) -> AttackScore:
         """Joint (target, candidate) distribution for the current visual state.
@@ -75,45 +84,25 @@ class Attacker:
         ``visual_state`` is the navigator's attended visual feature, consumed
         as a constant: no gradients cross between the players.
         """
-        instr = enc.instruction
-        if not instr.attackable:
+        if not enc.instruction.attackable:
             raise ValueError("instruction has no valid substitutions")
         p = self.params
         f_v = Tensor(np.asarray(visual_state).reshape(1, -1), dtype=self.dtype)
+        ones = Tensor(np.ones((1, enc.instruction.n_targets)), dtype=self.dtype)
 
         pw = dc.matmul(tape, enc.f_w, p["w_w"])
-        pv = dc.matmul(tape, f_v, p["w_v"])
-        beta = dc.softmax(tape, dc.rowdot(tape, pw, pv))
-
-        chunks, gammas, index_map = [], [], []
-        for j, cands in enumerate(instr.candidates):
-            if not cands:
-                gammas.append(np.zeros(0, dtype=np.float64))
-                continue
-            pw_j = dc.gather_rows(tape, pw, [j])
-            cj = dc.matmul(tape, enc.cand_feats[j], p["w_wp"])
-            gamma_j = dc.softmax(tape, dc.rowdot(tape, cj, pw_j))
-            beta_j = dc.gather_rows(tape, beta, [j])
-            chunks.append(dc.matmul(tape, gamma_j, beta_j))   # (K_j,1) @ (1,1)
-            gammas.append(gamma_j.values.reshape(-1))
-            index_map.extend((j, k) for k in range(len(cands)))
-
-        flat = dc.concat(tape, chunks, axis=0) if len(chunks) > 1 else chunks[0]
-        p_flat = dc.softmax(tape, flat)
-
-        k_max = instr.k_max
-        gamma = np.zeros((instr.n_targets, k_max), dtype=np.float32)
-        valid = np.zeros((instr.n_targets, k_max), dtype=bool)
-        for j, row in enumerate(gammas):
-            gamma[j, :len(row)] = row
-            valid[j, :len(row)] = True
-        return AttackScore(beta=beta.values.reshape(-1).copy(), gamma=gamma,
-                           valid=valid, p_flat=p_flat, index_map=tuple(index_map))
+        beta = dc.softmax(tape, dc.rowdot(tape, pw, dc.matmul(tape, f_v, p["w_v"])))
+        impact = dc.rowdot(tape, pw, dc.matmul(tape, enc.f_w, p["w_wp"]))
+        gamma = dc.softmax(tape, impact, axis=1, mask=enc.valid)
+        joint = dc.multiply(tape, gamma, dc.matmul(tape, beta, ones))
+        p_flat = dc.softmax(tape, joint, mask=enc.valid)
+        return AttackScore(beta=beta.values.reshape(-1).copy(), gamma=gamma.values,
+                           valid=enc.valid, p_flat=p_flat, index_map=enc.index_map)
 
 
 def select_attack(score: AttackScore, mode: str, rng=None) -> AttackAction:
     """Pick a (target, candidate) pair: argmax for greedy (ties to the lowest
-    padded flat index), a draw from the joint distribution for sampling."""
+    flat grid index), a draw from the joint distribution for sampling."""
     if score.p_flat.values.size == 0:
         raise ValueError("attack score has no valid cells")
     if mode == "greedy":

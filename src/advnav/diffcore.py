@@ -11,7 +11,7 @@ The primitive set is closed: matrix multiply (either operand optionally
 transposed), elementwise add/multiply, concatenate, row/full softmax (with
 an optional validity mask), tanh, sigmoid, embedding (row lookup), scalar
 scale, sum-reduce and cross-entropy-with-target.  Everything the models
-need (bilinear attention scores, weighted sums, row gathers, gated
+need (bilinear score columns and grids, weighted sums, row gathers, gated
 recurrences) is composed from these; see ``rowdot``/``attend``/
 ``gather_rows``/``lstm_cell``.
 
@@ -317,13 +317,12 @@ def zeros(shape, dtype=np.float32):
 
 
 def rowdot(tape, a, b):
-    """Per-row dot products of ``a`` (n,d) against the row vector ``b`` (1,d).
+    """Dot products of every row of ``a`` (n,d) with every row of ``b`` (m,d).
 
-    Returns the (n,1) column ``a @ bᵀ``: the pattern behind every bilinear
-    attention score, as one matmul with ``b`` transposed.
+    Returns the (n,m) grid ``a @ bᵀ``, a column when ``b`` is one row: the
+    pattern behind every bilinear score, as one matmul with ``b`` transposed.
     """
-    n, d = a.values.shape
-    if b.values.shape != (1, d):
+    if b.values.shape[1] != a.values.shape[1]:
         raise EngineError(f"rowdot: {a.values.shape} vs {b.values.shape}")
     return _apply(tape, "matmul", (a, b), (False, True))
 

@@ -95,12 +95,11 @@ class Instruction:
         return len(self.target_set)
 
     @property
-    def k_max(self) -> int:
-        return max((len(c) for c in self.candidates), default=0)
-
-    @property
     def attackable(self) -> bool:
-        return self.n_targets >= 2 and any(len(c) > 0 for c in self.candidates)
+        """At least two targets, and every target has a candidate.  For built
+        instructions this is "any target has one": two differing target
+        words leave every target another word to take."""
+        return self.n_targets >= 2 and all(len(c) > 0 for c in self.candidates)
 
     def valid_actions(self):
         return [AttackAction(j, k) for j in range(self.n_targets)

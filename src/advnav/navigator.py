@@ -44,8 +44,6 @@ class ModelDims:
 class EncodedInstruction:
     u: Tensor                 # (L, d_w) contextual token features
     f_w: Tensor               # (L', d_w) rows of u at the target positions
-    target_set: tuple
-    tokens: tuple
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,7 @@ class Navigator:
         ``memo`` shares cells between encodes on one tape (``encode_tokens``)."""
         u = encode_tokens(tape, self.params, tokens, memo)
         f_w = dc.gather_rows(tape, u, list(target_set)) if target_set else None
-        return EncodedInstruction(u=u, f_w=f_w, target_set=tuple(target_set),
-                                  tokens=tuple(tokens))
+        return EncodedInstruction(u=u, f_w=f_w)
 
     # -- decoder ------------------------------------------------------------
 

@@ -11,7 +11,14 @@ a run can reproduce the earlier float arithmetic bit for bit.
 The encoder ran all 2L cells of every sequence with one embedding lookup
 per position, and each rollout kept its own encodings; ``legacy_encoding``
 swaps that back in.
+
+The attack score looped over targets, six ops each, on a flat (sum K_j, 1)
+layout of the valid cells, and padded gamma back into an (L', K_max) grid;
+``legacy_attacker`` swaps that back in.  It pads gamma in the model dtype,
+where the original padded in float32, so float64 parity can read it.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +26,7 @@ from advnav import attacker
 from advnav import diffcore as dc
 from advnav import navigator
 from advnav import trainer
+from advnav.diffcore import Tensor
 
 
 def _ones(shape, dtype):
@@ -90,3 +98,63 @@ def legacy_encoding(monkeypatch):
     monkeypatch.setattr(navigator, "encode_tokens", encode_tokens)
     monkeypatch.setattr(attacker, "encode_tokens", encode_tokens)
     monkeypatch.setattr(trainer, "rollout_episode", own_encodings)
+
+
+@dataclass(frozen=True)
+class AttackerEncoding:
+    u: Tensor
+    f_w: Tensor
+    cand_feats: tuple          # per target: (K_j, d_w) candidate-word features
+    instruction: object
+
+
+def attacker_encode(self, tape, instr):
+    u = attacker.encode_tokens(tape, self.params, instr.tokens)
+    f_w = dc.gather_rows(tape, u, list(instr.target_set))
+    cand_feats = tuple(
+        dc.gather_rows(tape, u, [c.source_pos for c in cands]) if cands else None
+        for cands in instr.candidates)
+    return AttackerEncoding(u=u, f_w=f_w, cand_feats=cand_feats, instruction=instr)
+
+
+def attack_score(self, tape, enc, visual_state):
+    instr = enc.instruction
+    if not instr.attackable:
+        raise ValueError("instruction has no valid substitutions")
+    p = self.params
+    f_v = Tensor(np.asarray(visual_state).reshape(1, -1), dtype=self.dtype)
+
+    pw = dc.matmul(tape, enc.f_w, p["w_w"])
+    pv = dc.matmul(tape, f_v, p["w_v"])
+    beta = dc.softmax(tape, dc.rowdot(tape, pw, pv))
+
+    chunks, gammas, index_map = [], [], []
+    for j, cands in enumerate(instr.candidates):
+        if not cands:
+            gammas.append(np.zeros(0, dtype=np.float64))
+            continue
+        pw_j = dc.gather_rows(tape, pw, [j])
+        cj = dc.matmul(tape, enc.cand_feats[j], p["w_wp"])
+        gamma_j = dc.softmax(tape, dc.rowdot(tape, cj, pw_j))
+        beta_j = dc.gather_rows(tape, beta, [j])
+        chunks.append(dc.matmul(tape, gamma_j, beta_j))   # (K_j,1) @ (1,1)
+        gammas.append(gamma_j.values.reshape(-1))
+        index_map.extend((j, k) for k in range(len(cands)))
+
+    flat = dc.concat(tape, chunks, axis=0) if len(chunks) > 1 else chunks[0]
+    p_flat = dc.softmax(tape, flat)
+
+    k_max = max(len(c) for c in instr.candidates)
+    gamma = np.zeros((instr.n_targets, k_max), dtype=self.dtype)
+    valid = np.zeros((instr.n_targets, k_max), dtype=bool)
+    for j, row in enumerate(gammas):
+        gamma[j, :len(row)] = row
+        valid[j, :len(row)] = True
+    return attacker.AttackScore(beta=beta.values.reshape(-1).copy(), gamma=gamma,
+                                valid=valid, p_flat=p_flat, index_map=tuple(index_map))
+
+
+def legacy_attacker(monkeypatch):
+    """Route the attacker through the per-target score loop for one test."""
+    monkeypatch.setattr(attacker.Attacker, "encode", attacker_encode)
+    monkeypatch.setattr(attacker.Attacker, "attack_score", attack_score)

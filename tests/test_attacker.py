@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import straightline as sl
+from legacy_ops import legacy_attacker
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import world as w
@@ -36,8 +39,9 @@ def test_zero_projections_give_uniform_everything(vocab):
     for j in range(3):
         row = score.gamma[j][score.valid[j]]
         np.testing.assert_allclose(row, np.full(len(row), 1 / len(row)), atol=1e-6)
-    flat = score.p_flat.values.reshape(-1)
-    np.testing.assert_allclose(flat, np.full(6, 1 / 6), atol=1e-6)
+    np.testing.assert_allclose(score.p_flat.values[score.valid], np.full(6, 1 / 6),
+                               atol=1e-6)
+    assert not score.p_flat.values[~score.valid].any()
 
 
 def test_identical_target_features_give_symmetric_beta(vocab):
@@ -46,8 +50,7 @@ def test_identical_target_features_give_symmetric_beta(vocab):
     enc = att.encode(None, instr)
     # overwrite the two target rows with the same feature
     same = enc.f_w.values[0:1].copy()
-    enc_same = type(enc)(u=enc.u, f_w=Tensor(np.vstack([same, same])),
-                         cand_feats=enc.cand_feats, instruction=instr)
+    enc_same = dataclasses.replace(enc, f_w=Tensor(np.vstack([same, same])))
     score = att.attack_score(None, enc_same, np.ones(DIMS.d_v))
     np.testing.assert_allclose(score.beta, [0.5, 0.5], atol=1e-6)
 
@@ -67,7 +70,12 @@ def test_attack_score_matches_straight_line_oracle(seed, vocab):
                   for cands in instr.candidates]
     beta, gammas, p_a = sl.attack_score(p, f_w, cand_feats, f_v)
     np.testing.assert_allclose(score.beta, beta.reshape(-1), atol=1e-6)
-    np.testing.assert_allclose(score.p_flat.values.reshape(-1), p_a, atol=1e-6)
+    for j, g in enumerate(gammas):
+        np.testing.assert_allclose(score.gamma[j][score.valid[j]], g, atol=1e-6)
+    # the valid cells, read flat, run in the oracle's (j, k) order
+    cells = [r for r, jk in enumerate(score.index_map) if jk is not None]
+    assert [score.index_map[r] for r in cells] == instr.valid_actions()
+    np.testing.assert_allclose(score.p_flat.values.reshape(-1)[cells], p_a, atol=1e-6)
 
 
 def test_joint_distribution_is_valid_and_masked_cells_zero(vocab):
@@ -78,22 +86,89 @@ def test_joint_distribution_is_valid_and_masked_cells_zero(vocab):
                             candidates=(base.candidates[0],
                                         base.candidates[1][:1],
                                         base.candidates[2]))
-    assert instr.k_max == 2 and min(len(c) for c in instr.candidates) == 1
+    assert [len(c) for c in instr.candidates] == [2, 1, 2]
     enc = att.encode(None, instr)
     score = att.attack_score(None, enc, np.random.default_rng(0).normal(size=DIMS.d_v))
-    # every probability row belongs to a real cell, and every real cell has one
-    assert all(score.valid[j, k] for j, k in score.index_map)
-    assert len(set(score.index_map)) == len(score.index_map) == score.valid.sum()
+    # the grid's valid cells are exactly the real (target, candidate) pairs
+    real = [jk for jk in score.index_map if jk is not None]
+    assert real == instr.valid_actions()
+    assert score.valid.reshape(-1).tolist() == [jk is not None for jk in score.index_map]
+    assert not score.p_flat.values[~score.valid].any()
+    assert not score.gamma[~score.valid].any()
     assert abs(score.p_flat.values.sum() - 1.0) < 1e-6
 
 
 def test_non_attackable_instruction_rejected(vocab):
     att = make_attacker(0)
-    instr = instr_of(vocab, "walk past the table then the table")
-    assert not instr.attackable
-    enc = att.encode(None, instr)
-    with pytest.raises(ValueError):
-        att.attack_score(None, enc, np.zeros(DIMS.d_v))
+    base = instr_of(vocab, "go to the table in the kitchen with the sofa")
+    # a hand-built empty candidate row would leave a grid row all masked
+    empty_row = ins.Instruction(tokens=base.tokens, target_set=base.target_set,
+                                candidates=(base.candidates[0], (), base.candidates[2]))
+    for instr in (instr_of(vocab, "walk past the table then the table"), empty_row):
+        assert not instr.attackable
+        enc = att.encode(None, instr)
+        with pytest.raises(ValueError, match="no valid substitutions"):
+            att.attack_score(None, enc, np.zeros(DIMS.d_v))
+
+
+@pytest.mark.parametrize("n_targets", [2, 3, 8])
+def test_taped_attack_score_is_ten_ops(n_targets, vocab):
+    att = make_attacker(4)
+    words = [vocab.word(i) for i in range(len(vocab.words)) if vocab.is_landmark(i)]
+    instr = instr_of(vocab, " ".join(["go to the " + x for x in words[:n_targets]]))
+    assert instr.n_targets == n_targets and instr.attackable
+    tape = Tape()
+    enc = att.encode(tape, instr)
+    before = len(tape)
+    att.attack_score(tape, enc, np.ones(DIMS.d_v))
+    assert len(tape) - before == 10
+
+
+def generated_cases(n_worlds=3, episodes=4):
+    """(instruction, start view) pairs from generated worlds and routes."""
+    rng = np.random.default_rng(11)
+    out = []
+    for ws in range(n_worlds):
+        g = w.generate_world(w.WorldConfig(seed=ws, n_nodes=20, d_v=DIMS.d_v, horizon=14))
+        for e in range(episodes):
+            a, b = (int(x) for x in rng.choice(g.n_nodes, size=2, replace=False))
+            ep = w.make_episode(g, a, b)
+            instr = ins.generate_instruction(g, ep, seed=100 * ws + e)
+            out.extend((instr, view) for view in g.candidate_views(a))
+    return out
+
+
+def test_grid_score_matches_the_per_target_score(monkeypatch):
+    att = make_attacker(6, dtype=np.float64)
+    cases = generated_cases()
+    new = [att.attack_score(None, att.encode(None, instr), view) for instr, view in cases]
+    legacy_attacker(monkeypatch)
+    old = [att.attack_score(None, att.encode(None, instr), view) for instr, view in cases]
+    for a, b in zip(new, old):
+        np.testing.assert_allclose(a.beta, b.beta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(a.gamma[a.valid], b.gamma[b.valid], rtol=1e-12, atol=0)
+        joint = {jk: q for jk, q in zip(a.index_map, a.p_flat.values.reshape(-1))}
+        np.testing.assert_allclose([joint[jk] for jk in b.index_map],
+                                   b.p_flat.values.reshape(-1), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grid_picks_match_the_per_target_picks(dtype, monkeypatch):
+    att = make_attacker(8, dtype=dtype)
+    cases = generated_cases()
+
+    def picks():
+        rng = np.random.default_rng(3)
+        out = []
+        for instr, view in cases:
+            score = att.attack_score(None, att.encode(None, instr), view)
+            out.append((select_attack(score, "greedy"),
+                        [select_attack(score, "sample", rng) for _ in range(10)]))
+        return out
+
+    new = picks()
+    legacy_attacker(monkeypatch)
+    assert new == picks()
 
 
 def test_select_degenerate_distribution(vocab):
@@ -114,12 +189,12 @@ def test_greedy_tie_breaks_to_lowest_flat_index(vocab):
     instr = instr_of(vocab, "go to the table in the kitchen with the sofa")
     enc = att.encode(None, instr)
     score = att.attack_score(None, enc, np.zeros(DIMS.d_v))
-    vals = np.full_like(score.p_flat.values, 0.1)
-    vals[2, 0] = 0.3  # flat rows 2 and 5 tie
-    vals[5, 0] = 0.3
-    score.p_flat.values = vals
+    cells = np.flatnonzero(score.valid)
+    flat = np.where(score.valid, 0.1, 0.0).reshape(-1)
+    flat[cells[[2, 5]]] = 0.3  # the third and sixth valid cells tie
+    score.p_flat.values = flat.reshape(score.valid.shape)
     action = select_attack(score, "greedy")
-    assert score.index_map[2] == (action.target_index, action.candidate_index)
+    assert score.index_map[cells[2]] == (action.target_index, action.candidate_index)
 
 
 def test_uniform_sampling_frequencies(vocab):
@@ -127,16 +202,15 @@ def test_uniform_sampling_frequencies(vocab):
     instr = instr_of(vocab, "walk past the table into the kitchen then the sofa then the bed")
     enc = att.encode(None, instr)
     score = att.attack_score(None, enc, np.zeros(DIMS.d_v))
-    n = score.p_flat.values.size
-    score.p_flat.values = np.full((n, 1), 1.0 / n, dtype=np.float32)
-    picks = [idx for idx in range(4)]
+    n = int(score.valid.sum())
+    score.p_flat.values = np.where(score.valid, 1.0 / n, 0.0).astype(np.float32)
     rng = np.random.default_rng(123)
     counts = {}
     for _ in range(10000):
         a = select_attack(score, "sample", rng)
         counts[a] = counts.get(a, 0) + 1
-    freqs = np.array([counts.get(score.index_map[i] and ins.AttackAction(*score.index_map[i]), 0)
-                      for i in range(n)]) / 10000.0
+    assert set(counts) == set(instr.valid_actions())
+    freqs = np.array([counts[a] for a in instr.valid_actions()]) / 10000.0
     np.testing.assert_allclose(freqs, np.full(n, 1.0 / n), atol=0.02)
 
 
@@ -158,12 +232,13 @@ def test_attack_nll_gradients_match_finite_differences(vocab):
     instr = instr_of(vocab, "go to the table in the kitchen with the sofa")
     rng = np.random.default_rng(5)
     f_v = rng.normal(size=(1, dims.d_v))
+    cell = att.encode(None, instr).index_map.index((1, 1))
 
     def run():
         t = Tape()
         enc = att.encode(t, instr)
         score = att.attack_score(t, enc, f_v)
-        return t, dc.cross_entropy(t, score.p_flat, 3)  # -log p_a[a]
+        return t, dc.cross_entropy(t, score.p_flat, cell)  # -log p_a[a]
 
     t, loss = run()
     backward(t, loss)

@@ -201,6 +201,28 @@ def test_rowdot_and_attend_match_numpy():
     np.testing.assert_allclose(out.values, w.values.T @ a.values, rtol=1e-5)
 
 
+def test_rowdot_grid_matches_numpy_and_finite_differences():
+    rng = np.random.default_rng(6)
+    a = constant(rng.normal(size=(4, 3)), dtype=np.float64)
+    b = constant(rng.normal(size=(5, 3)), dtype=np.float64)
+    grid = rowdot(None, a, b)
+    np.testing.assert_allclose(grid.values, a.values @ b.values.T, rtol=1e-12)
+    weights = constant(rng.normal(size=(4, 5)), dtype=np.float64)
+
+    def forward():
+        t = Tape()
+        return t, sum_reduce(t, multiply(t, rowdot(t, a, b), weights))
+
+    t, loss = forward()
+    backward(t, loss)
+    analytic = [a.grad.copy(), b.grad.copy()]
+    numeric = numeric_gradient(lambda: forward()[1].item(), [a, b])
+    for g, n in zip(analytic, numeric):
+        assert max_rel_error(g, n) < 1e-6
+    with pytest.raises(EngineError, match="rowdot"):
+        rowdot(None, a, constant(rng.normal(size=(5, 2))))
+
+
 def test_gather_rows():
     x = constant(np.arange(12.0).reshape(4, 3))
     out = gather_rows(None, x, [2, 0])

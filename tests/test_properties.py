@@ -3,7 +3,9 @@
 Every config either raises ``ValueError`` or yields a world that keeps its
 promises: connected, degree at most ``j_max``, nodes at least 2 m apart,
 a teacher that walks to the goal within the horizon, and instructions whose
-every valid attack swaps exactly one landmark word for another.  The
+every valid attack swaps exactly one landmark word for another.  Any
+instruction built from tokens has a candidate for every target as soon as
+one target has one, the invariant the attacker's target grid relies on.  The
 examples are derandomized, so each run checks the same set.
 """
 
@@ -89,3 +91,13 @@ def test_world_and_instruction_keep_their_config_or_raise(kw, data):
         _check_teacher(g, ep)
         instr = ins.generate_instruction(g, ep, seed=data.draw(st.integers(0, 2 ** 16)))
         _check_attacks(instr)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_one_target_with_a_candidate_means_all_have_one(data):
+    vocab = ins.build_vocabulary()
+    tokens = data.draw(st.lists(st.integers(0, len(vocab.words) - 1), max_size=40))
+    instr = ins.make_instruction(tokens, vocab)
+    rows = [len(c) > 0 for c in instr.candidates]
+    assert any(rows) == (bool(rows) and all(rows)) == instr.attackable

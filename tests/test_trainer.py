@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import straightline as sl
-from legacy_ops import legacy_encoding, legacy_numerics
+from legacy_ops import legacy_attacker, legacy_encoding, legacy_numerics
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import trainer as tr
@@ -332,6 +332,29 @@ def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatc
         assert max_rel_error(new[k], old[k]) < 1e-9, k
 
 
+def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
+    # the grid score sums its softmaxes over masked zeros too; float64 steps
+    # must still agree with the per-target loop
+    items = [it for it in make_items() if it.instruction.attackable][:3]
+
+    def steps():
+        nav, att, _, att_val = make_models(seed=3, dtype=np.float64)
+        params = {**{"att." + k: q for k, q in att.params.items()},
+                  **{"val." + k: q for k, q in att_val.params.items()}}
+        before = {k: q.values.copy() for k, q in params.items()}
+        acfg, rng = tr.TrainConfig().for_attacker(), np.random.default_rng(5)
+        for item in items:
+            tr.attacker_update(item, nav, att, att_val, acfg, rng)
+        return {k: q.values - before[k] for k, q in params.items()}
+
+    new = steps()
+    legacy_attacker(monkeypatch)
+    old = steps()
+    assert any(np.any(v != 0) for v in new.values())
+    for k in old:
+        assert max_rel_error(new[k], old[k]) < 1e-9, k
+
+
 def test_rollout_perturbs_at_most_one_token_per_step():
     items = [it for it in make_items() if it.instruction.attackable]
     nav, att, nav_val, att_val = make_models()
@@ -441,12 +464,13 @@ def test_training_is_deterministic_for_fixed_seed():
 
 def test_adversarial_train_reproduces_pinned_digests(monkeypatch):
     # Digests of this run as first recorded (numpy 2.4.6, OpenBLAS, x86-64).
-    # With the earlier float compositions and the earlier per-rollout
-    # encoder swapped back in, the shared encoder, the single attacker
-    # update, the row lookups and the one-op attack score must reproduce
-    # them bit for bit.
+    # With the earlier float compositions, the earlier per-rollout encoder
+    # and the per-target attack score swapped back in, the shared encoder,
+    # the single attacker update and the row lookups must reproduce them
+    # bit for bit.
     legacy_numerics(monkeypatch)
     legacy_encoding(monkeypatch)
+    legacy_attacker(monkeypatch)
     items = make_items(n_worlds=1, episodes=3)
     nav, att, nav_val, att_val = make_models(seed=7)
     cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
@@ -463,6 +487,10 @@ def test_adversarial_train_pins_shared_encoding_digests():
     # encoder's gradients in another order than per-rollout encodes, so
     # these digests differ from the ones above; the float64 parity of
     # test_navigator_update_steps_match_per_rollout_encodings bounds the gap.
+    # The grid attack score's final softmax sums the masked zeros too, which
+    # moves some float32 joints by an ulp: the attacker's digest changed with
+    # it (test_attacker_update_steps_match_the_per_target_score bounds that
+    # gap), while its greedy picks, and so the navigator's digest, did not.
     items = make_items(n_worlds=1, episodes=3)
     nav, att, nav_val, att_val = make_models(seed=7)
     cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
@@ -471,4 +499,4 @@ def test_adversarial_train_pins_shared_encoding_digests():
     assert params_digest(nav.params) == \
         "3521ae2a158013b3e1513565521f1ff14176e1b6db1a2e1296dbeaf9180c572d"
     assert params_digest(att.params) == \
-        "50fdb775d1247adca5168d86f358487b86447cec1ddbd8c46e3600340cdac1df"
+        "132dd94772be858760db79728010cf52c099c93a07851c326143325cf94f8e82"
