@@ -2,16 +2,14 @@
 
 The attacker owns its instruction encoder parameters (the navigator's
 BiLSTM form, never shared with the victim) and always encodes the original
-instruction.  Every candidate is another target word of the same
-instruction, so each step scores the L'×L' target grid: cell (j, i) stands
-for replacing target j with target i's word, and ``valid`` marks the cells
-where that word is one of target j's candidates.  A word-importance
-distribution over targets is driven by the current attended visual
-feature, a per-row substitution-impact distribution runs over each target's
-candidates, and the joint distribution over the grid comes from the
-elementwise product of the two.  Cells off ``valid`` carry exactly zero
-probability.
-"""
+instruction.  Each step scores the instruction's L'×L' target grid: cell
+(j, i) stands for replacing target j with target i's word, and
+``Instruction.valid`` marks the cells that change the word.  A
+word-importance distribution over targets is driven by the current
+attended visual feature, a per-row substitution-impact distribution runs
+over each target's valid cells, and the joint distribution over the grid
+comes from the elementwise product of the two.  Cells off ``valid`` carry
+exactly zero probability."""
 
 from __future__ import annotations
 
@@ -31,18 +29,17 @@ from .navigator import (ModelDims, encode_tokens, greedy_action,
 class AttackerEncoding:
     u: Tensor                  # (L, d_w) token features of the original tokens
     f_w: Tensor                # (L', d_w) target-word features
-    valid: np.ndarray          # (L', L') bool: target i's word is a candidate of j
-    index_map: tuple           # flat grid cell -> (j, k), or None off ``valid``
     instruction: Instruction
 
 
 @dataclass(frozen=True)
 class AttackScore:
+    """One step's scores over the target grid; cell (j, i) of ``gamma`` and
+    of ``p_flat`` is ``AttackAction(j, i)``."""
     beta: np.ndarray           # (L',) word importance
     gamma: np.ndarray          # (L', L') substitution impact in the model dtype
     valid: np.ndarray          # (L', L') bool mask of real cells
     p_flat: Tensor             # (L', L') joint distribution, read flat (row-major)
-    index_map: tuple           # flat cell of p_flat -> (j, k), or None off valid
 
 
 class Attacker:
@@ -64,45 +61,37 @@ class Attacker:
         return self.params["embed"].dtype
 
     def encode(self, tape: Optional[Tape], instr: Instruction) -> AttackerEncoding:
-        """Encode the original instruction and lay its candidates on the
-        target grid; the trainer does so once per update."""
+        """Encode the original instruction; the trainer does so once per
+        update."""
         u = encode_tokens(tape, self.params, instr.tokens)
         f_w = dc.gather_rows(tape, u, list(instr.target_set))
-        n = instr.n_targets
-        column = {pos: i for i, pos in enumerate(instr.target_set)}
-        index_map = [None] * (n * n)
-        for j, cands in enumerate(instr.candidates):
-            for k, c in enumerate(cands):
-                index_map[j * n + column[c.source_pos]] = (j, k)
-        valid = np.array([c is not None for c in index_map], dtype=bool).reshape(n, n)
-        return AttackerEncoding(u=u, f_w=f_w, valid=valid,
-                                index_map=tuple(index_map), instruction=instr)
+        return AttackerEncoding(u=u, f_w=f_w, instruction=instr)
 
     def attack_score(self, tape, enc: AttackerEncoding, visual_state) -> AttackScore:
-        """Joint (target, candidate) distribution for the current visual state.
+        """Joint distribution over the target grid for the current visual state.
 
         ``visual_state`` is the navigator's attended visual feature, consumed
         as a constant: no gradients cross between the players.
         """
         if not enc.instruction.attackable:
             raise ValueError("instruction has no valid substitutions")
-        p = self.params
+        p, valid = self.params, enc.instruction.valid
         f_v = Tensor(np.asarray(visual_state).reshape(1, -1), dtype=self.dtype)
         ones = Tensor(np.ones((1, enc.instruction.n_targets)), dtype=self.dtype)
 
         pw = dc.matmul(tape, enc.f_w, p["w_w"])
         beta = dc.softmax(tape, dc.rowdot(tape, pw, dc.matmul(tape, f_v, p["w_v"])))
         impact = dc.rowdot(tape, pw, dc.matmul(tape, enc.f_w, p["w_wp"]))
-        gamma = dc.softmax(tape, impact, axis=1, mask=enc.valid)
+        gamma = dc.softmax(tape, impact, axis=1, mask=valid)
         joint = dc.multiply(tape, gamma, dc.matmul(tape, beta, ones))
-        p_flat = dc.softmax(tape, joint, mask=enc.valid)
+        p_flat = dc.softmax(tape, joint, mask=valid)
         return AttackScore(beta=beta.values.reshape(-1).copy(), gamma=gamma.values,
-                           valid=enc.valid, p_flat=p_flat, index_map=enc.index_map)
+                           valid=valid, p_flat=p_flat)
 
 
 def select_attack(score: AttackScore, mode: str, rng=None) -> AttackAction:
-    """Pick a (target, candidate) pair: argmax for greedy (ties to the lowest
-    flat grid index), a draw from the joint distribution for sampling."""
+    """Pick a grid cell (j, i): argmax for greedy (ties to the lowest flat
+    grid index), a draw from the joint distribution for sampling."""
     if score.p_flat.values.size == 0:
         raise ValueError("attack score has no valid cells")
     if mode == "greedy":
@@ -111,5 +100,4 @@ def select_attack(score: AttackScore, mode: str, rng=None) -> AttackAction:
         row = sample_action(score.p_flat, rng)
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
-    j, k = score.index_map[row]
-    return AttackAction(j, k)
+    return AttackAction(*divmod(row, score.valid.shape[1]))

@@ -4,16 +4,17 @@ Instructions are templated walks along an episode's ground-truth path:
 direction and filler words interleaved with the object/location landmark
 words of the nodes being passed, ending with the goal's landmarks.  The
 attackable positions (the target set) are all the object and location
-tokens, wherever they stand; each target's candidate substitutions are the
-other target words of the same instruction.  A perturbation swaps one
-target token of the original sequence; perturbations never compound across
-timesteps.
+tokens, wherever they stand.  A substitution replaces target j's word with
+another target's word of the same instruction, so every attack is a cell
+(j, i) of the L'×L' target grid, and ``Instruction.valid`` marks the cells
+that change the word.  A perturbation swaps one target token of the
+original sequence; perturbations never compound across timesteps.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -74,21 +75,17 @@ def build_vocabulary() -> Vocabulary:
     return vocab
 
 
-class Candidate(NamedTuple):
-    token_id: int
-    source_pos: int         # position of that word in the instruction
-
-
 class AttackAction(NamedTuple):
-    target_index: int       # j in [0, L')
-    candidate_index: int    # k in [0, K_j)
+    target_index: int       # j in [0, L'): the target whose word is replaced
+    source_index: int       # i in [0, L'): the target whose word replaces it
 
 
 @dataclass(frozen=True)
 class Instruction:
     tokens: tuple
     target_set: tuple                     # positions of object/location tokens
-    candidates: tuple                     # per target: tuple[Candidate, ...]
+    # (L', L') read-only bool: cell (j, i) may put target i's word at target j
+    valid: np.ndarray = field(compare=False)
 
     @property
     def n_targets(self) -> int:
@@ -96,14 +93,14 @@ class Instruction:
 
     @property
     def attackable(self) -> bool:
-        """At least two targets, and every target has a candidate.  For built
-        instructions this is "any target has one": two differing target
+        """At least two targets, and every grid row has a valid cell.  For
+        built instructions this is "any row has one": two differing target
         words leave every target another word to take."""
-        return self.n_targets >= 2 and all(len(c) > 0 for c in self.candidates)
+        return self.n_targets >= 2 and bool(self.valid.any(axis=1).all())
 
     def valid_actions(self):
-        return [AttackAction(j, k) for j in range(self.n_targets)
-                for k in range(len(self.candidates[j]))]
+        """Valid grid cells in row-major order."""
+        return [AttackAction(int(j), int(i)) for j, i in np.argwhere(self.valid)]
 
 
 @dataclass(frozen=True)
@@ -125,46 +122,30 @@ def build_target_set(tokens, vocab: Vocabulary) -> tuple:
     return tuple(i for i, t in enumerate(tokens) if vocab.is_landmark(t))
 
 
-def build_candidate_sets(tokens, target_set) -> tuple:
-    """Per target: the other targets' token ids, deduplicated, sentence order.
-
-    A target's own token id is never among its candidates, so every
-    substitution changes the word.
-    """
-    out = []
-    for j, pos in enumerate(target_set):
-        own = tokens[pos]
-        cands, seen = [], set()
-        for other in target_set:
-            tid = tokens[other]
-            if other == pos or tid == own or tid in seen:
-                continue
-            seen.add(tid)
-            cands.append(Candidate(tid, other))
-        out.append(tuple(cands))
-    return tuple(out)
-
-
 def make_instruction(tokens, vocab: Vocabulary) -> Instruction:
+    """Cell (j, i) of ``valid`` is true when target i's word differs from
+    target j's and i is the first target carrying that word, so every
+    substitution changes the word and each word is offered once per row."""
+    tokens = tuple(tokens)
     targets = build_target_set(tokens, vocab)
-    return Instruction(tokens=tuple(tokens), target_set=targets,
-                       candidates=build_candidate_sets(tokens, targets))
+    words = np.array([tokens[p] for p in targets], dtype=np.int64)
+    first = np.zeros(len(targets), dtype=bool)
+    first[np.unique(words, return_index=True)[1]] = True
+    valid = (words[None, :] != words[:, None]) & first[None, :]
+    valid.flags.writeable = False
+    return Instruction(tokens=tokens, target_set=targets, valid=valid)
 
 
 def apply_perturbation(instr: Instruction, action: AttackAction,
                        timestep: int) -> PerturbedInstruction:
     """Substitute one target word of the original tokens; never compounds."""
-    if not 0 <= action.target_index < instr.n_targets:
-        raise ValueError(f"target index {action.target_index} out of range")
-    cands = instr.candidates[action.target_index]
-    if not 0 <= action.candidate_index < len(cands):
-        raise ValueError(f"candidate index {action.candidate_index} out of range")
-    return PerturbedInstruction(
-        base=instr,
-        position=instr.target_set[action.target_index],
-        token=cands[action.candidate_index].token_id,
-        timestep=timestep,
-    )
+    j, i = action
+    n = instr.n_targets
+    if not (0 <= j < n and 0 <= i < n and instr.valid[j, i]):
+        raise ValueError(f"attack cell {(j, i)} is not a valid substitution")
+    return PerturbedInstruction(base=instr, position=instr.target_set[j],
+                                token=instr.tokens[instr.target_set[i]],
+                                timestep=timestep)
 
 
 # ---------------------------------------------------------------------------

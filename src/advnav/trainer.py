@@ -167,13 +167,14 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     the navigator but follows and supervises the shortest-path teacher,
     'att_learn' tapes and samples the attacker (navigator frozen and
     greedy), and 'eval' freezes both; with no opponent it runs clean.
-    ``attack_fn(instruction, rng) -> AttackAction`` stands in for the
-    learned attacker while the navigator learns ('nav_learn',
-    'nav_teacher'): ``adversarial_train`` hardens against random
-    substitutions this way.  'att_learn' needs ``att`` and an attackable
-    instruction, and refuses ``attack_fn``.  Passing ``tape`` lets several
-    rollouts share one update, and passing them one ``encodings`` lets them
-    share the encoder's work too; without it each rollout gets its own.
+    ``attack_fn(instruction, rng) -> AttackAction``, a valid cell (j, i) of
+    ``instruction.valid``, stands in for the learned attacker while the
+    navigator learns ('nav_learn', 'nav_teacher'): ``adversarial_train``
+    hardens against random substitutions this way.  'att_learn' needs
+    ``att`` and an attackable instruction, and refuses ``attack_fn``.
+    Passing ``tape`` lets several rollouts share one update, and passing
+    them one ``encodings`` lets them share the encoder's work too; without
+    it each rollout gets its own.
     """
     graph, ep, instr = item.world, item.episode, item.instruction
     nav_teacher = mode == "nav_teacher"
@@ -217,7 +218,8 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
                 if att_learn:
                     action_att = select_attack(score, "sample", rng)
                     att_dist = score.p_flat
-                    att_row = score.index_map.index(tuple(action_att))
+                    att_row = action_att.target_index * instr.n_targets \
+                        + action_att.source_index
                 else:
                     action_att = select_attack(score, "greedy")
 
@@ -287,8 +289,7 @@ def _trace_row(instr, t, action_att, out, action_nav, r_nav):
     if action_att is not None:
         row["attacked_position"] = instr.target_set[action_att.target_index]
         row["attacked_target"] = action_att.target_index
-        cand = instr.candidates[action_att.target_index][action_att.candidate_index]
-        row["substitute_token"] = cand.token_id
+        row["substitute_token"] = instr.tokens[instr.target_set[action_att.source_index]]
     if out.p_c is not None:
         row["p_c"] = out.p_c.values.reshape(-1).copy()
         row["predicted_target"] = int(np.argmax(row["p_c"]))

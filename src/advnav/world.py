@@ -69,6 +69,7 @@ class WorldGraph:
     coords: np.ndarray                      # (n, 2) float64, meters
     edges: list                             # [(a, b)] with a < b
     neighbors: dict                         # node -> sorted neighbor list
+    edge_lengths: dict                      # (node, neighbor) -> meters
     landmarks: dict                         # node -> (object word, location word)
     view_features: dict                     # (node, neighbor) -> (d_v,) float32
     stop_features: dict                     # node -> (d_v,) float32
@@ -77,9 +78,6 @@ class WorldGraph:
     @property
     def n_nodes(self) -> int:
         return self.coords.shape[0]
-
-    def edge_length(self, a: int, b: int) -> float:
-        return float(np.linalg.norm(self.coords[a] - self.coords[b]))
 
     def candidate_views(self, node: int) -> np.ndarray:
         """Rows aligned with the action indexing: stop view first, then the
@@ -150,6 +148,8 @@ def generate_world(config: WorldConfig) -> WorldGraph:
         neighbors[i].sort()
         if not neighbors[i]:
             raise ValueError("generated world has an isolated node")
+    edge_lengths = {(a, b): float(np.linalg.norm(coords[a] - coords[b]))
+                    for a in range(n) for b in neighbors[a]}
 
     objs = list(OBJECT_WORDS)
     locs = list(LOCATION_WORDS)
@@ -173,8 +173,9 @@ def generate_world(config: WorldConfig) -> WorldGraph:
         stop_features[i] = (planted + marker + noise * base).astype(np.float32)
 
     graph = WorldGraph(config=config, coords=coords, edges=sorted(edges),
-                       neighbors=neighbors, landmarks=landmarks,
-                       view_features=view_features, stop_features=stop_features)
+                       neighbors=neighbors, edge_lengths=edge_lengths,
+                       landmarks=landmarks, view_features=view_features,
+                       stop_features=stop_features)
     assert _connected(graph), "spanning-tree construction must connect the graph"
     return graph
 
@@ -212,7 +213,7 @@ def _dijkstra(g: WorldGraph, src: int) -> np.ndarray:
         if d > dist[u]:
             continue
         for v in g.neighbors[u]:
-            nd = d + g.edge_length(u, v)
+            nd = d + g.edge_lengths[u, v]
             if nd < dist[v] - 1e-12:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
@@ -220,15 +221,20 @@ def _dijkstra(g: WorldGraph, src: int) -> np.ndarray:
     return dist
 
 
+def _next_hop(g: WorldGraph, node: int, goal: int) -> int:
+    """Index in ``g.neighbors[node]`` of the first hop of a shortest route
+    to ``goal``; ties go to the lowest neighbor id (the list is sorted)."""
+    dist = _dijkstra(g, goal)
+    nbrs = g.neighbors[node]
+    return min(range(len(nbrs)),
+               key=lambda i: (g.edge_lengths[node, nbrs[i]] + dist[nbrs[i]], i))
+
+
 def shortest_path(g: WorldGraph, a: int, b: int) -> list:
     """Node sequence of a shortest path from a to b (greedy on distances)."""
-    dist = _dijkstra(g, b)
-    path, cur = [a], a
-    while cur != b:
-        nxt = min(g.neighbors[cur],
-                  key=lambda v: (g.edge_length(cur, v) + dist[v], v))
-        path.append(nxt)
-        cur = nxt
+    path = [a]
+    while path[-1] != b:
+        path.append(g.neighbors[path[-1]][_next_hop(g, path[-1], b)])
     return path
 
 
@@ -303,10 +309,5 @@ def teacher_action(ep: Episode) -> int:
     """Next action on a shortest route to the goal; stop when standing on it."""
     if ep.current == ep.goal:
         return STOP_ACTION
-    g = ep.world
-    dist = _dijkstra(g, ep.goal)
-    nbrs = g.neighbors[ep.current]
-    best = min(range(len(nbrs)),
-               key=lambda i: (g.edge_length(ep.current, nbrs[i]) + dist[nbrs[i]], i))
-    return best + 1
+    return _next_hop(ep.world, ep.current, ep.goal) + 1
 

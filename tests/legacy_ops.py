@@ -12,13 +12,20 @@ The encoder ran all 2L cells of every sequence with one embedding lookup
 per position, and each rollout kept its own encodings; ``legacy_encoding``
 swaps that back in.
 
-The attack score looped over targets, six ops each, on a flat (sum K_j, 1)
-layout of the valid cells, and padded gamma back into an (L', K_max) grid;
-``legacy_attacker`` swaps that back in.  It pads gamma in the model dtype,
-where the original padded in float32, so float64 parity can read it.
+Instructions carried per-target candidate lists (``build_candidate_sets``),
+and attacks were (target, candidate) pairs (j, k) into them.
+``candidate_cells`` reads those pairs as target-grid cells (j, i).
+
+The attack score looped over those lists, six ops per target, on a flat
+(sum K_j, 1) layout of the valid cells, and picks were made on that layout;
+``legacy_attacker`` swaps that back in.  One exact scatter (a 0/1 matmul)
+hands the flat joint to the trainer on the target grid, and gamma is laid
+on the grid in the model dtype, where the original padded it into an
+(L', K_max) array in float32, so float64 parity can read it.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from advnav import diffcore as dc
 from advnav import navigator
 from advnav import trainer
 from advnav.diffcore import Tensor
+from advnav.instruct import AttackAction
 
 
 def _ones(shape, dtype):
@@ -100,21 +108,63 @@ def legacy_encoding(monkeypatch):
     monkeypatch.setattr(trainer, "rollout_episode", own_encodings)
 
 
+class Candidate(NamedTuple):
+    token_id: int
+    source_pos: int         # position of that word in the instruction
+
+
+def build_candidate_sets(tokens, target_set) -> tuple:
+    """Per target: the other targets' token ids, deduplicated, sentence order.
+
+    A target's own token id is never among its candidates, so every
+    substitution changes the word.
+    """
+    out = []
+    for j, pos in enumerate(target_set):
+        own = tokens[pos]
+        cands, seen = [], set()
+        for other in target_set:
+            tid = tokens[other]
+            if other == pos or tid == own or tid in seen:
+                continue
+            seen.add(tid)
+            cands.append(Candidate(tid, other))
+        out.append(tuple(cands))
+    return tuple(out)
+
+
+def candidate_cells(instr):
+    """The (j, k) actions of ``instr``'s candidate lists, in their order, as
+    grid cells (j, i): i is the target the candidate word was taken from."""
+    column = {pos: i for i, pos in enumerate(instr.target_set)}
+    return [(j, column[c.source_pos])
+            for j, cands in enumerate(build_candidate_sets(instr.tokens, instr.target_set))
+            for c in cands]
+
+
 @dataclass(frozen=True)
 class AttackerEncoding:
     u: Tensor
     f_w: Tensor
+    candidates: tuple          # per target: tuple[Candidate, ...]
     cand_feats: tuple          # per target: (K_j, d_w) candidate-word features
     instruction: object
+
+
+@dataclass(frozen=True)
+class AttackScore(attacker.AttackScore):
+    cells: tuple = ()          # flat grid cell of each (j, k) action, in (j, k) order
 
 
 def attacker_encode(self, tape, instr):
     u = attacker.encode_tokens(tape, self.params, instr.tokens)
     f_w = dc.gather_rows(tape, u, list(instr.target_set))
+    candidates = build_candidate_sets(instr.tokens, instr.target_set)
     cand_feats = tuple(
         dc.gather_rows(tape, u, [c.source_pos for c in cands]) if cands else None
-        for cands in instr.candidates)
-    return AttackerEncoding(u=u, f_w=f_w, cand_feats=cand_feats, instruction=instr)
+        for cands in candidates)
+    return AttackerEncoding(u=u, f_w=f_w, candidates=candidates, cand_feats=cand_feats,
+                            instruction=instr)
 
 
 def attack_score(self, tape, enc, visual_state):
@@ -128,10 +178,9 @@ def attack_score(self, tape, enc, visual_state):
     pv = dc.matmul(tape, f_v, p["w_v"])
     beta = dc.softmax(tape, dc.rowdot(tape, pw, pv))
 
-    chunks, gammas, index_map = [], [], []
-    for j, cands in enumerate(instr.candidates):
+    chunks, gammas = [], []
+    for j, cands in enumerate(enc.candidates):
         if not cands:
-            gammas.append(np.zeros(0, dtype=np.float64))
             continue
         pw_j = dc.gather_rows(tape, pw, [j])
         cj = dc.matmul(tape, enc.cand_feats[j], p["w_wp"])
@@ -139,22 +188,34 @@ def attack_score(self, tape, enc, visual_state):
         beta_j = dc.gather_rows(tape, beta, [j])
         chunks.append(dc.matmul(tape, gamma_j, beta_j))   # (K_j,1) @ (1,1)
         gammas.append(gamma_j.values.reshape(-1))
-        index_map.extend((j, k) for k in range(len(cands)))
 
     flat = dc.concat(tape, chunks, axis=0) if len(chunks) > 1 else chunks[0]
-    p_flat = dc.softmax(tape, flat)
+    p_cand = dc.softmax(tape, flat)
 
-    k_max = max(len(c) for c in instr.candidates)
-    gamma = np.zeros((instr.n_targets, k_max), dtype=self.dtype)
-    valid = np.zeros((instr.n_targets, k_max), dtype=bool)
-    for j, row in enumerate(gammas):
-        gamma[j, :len(row)] = row
-        valid[j, :len(row)] = True
-    return attacker.AttackScore(beta=beta.values.reshape(-1).copy(), gamma=gamma,
-                                valid=valid, p_flat=p_flat, index_map=tuple(index_map))
+    n = instr.n_targets
+    cells = tuple(j * n + i for j, i in candidate_cells(instr))
+    scatter = np.zeros((n * n, len(cells)))
+    scatter[cells, np.arange(len(cells))] = 1.0
+    p_flat = dc.matmul(tape, dc.constant(scatter, dtype=self.dtype), p_cand)
+    gamma = np.zeros(n * n, dtype=self.dtype)
+    gamma[list(cells)] = np.concatenate(gammas)
+    valid = np.zeros(n * n, dtype=bool)
+    valid[list(cells)] = True
+    return AttackScore(beta=beta.values.reshape(-1).copy(), gamma=gamma.reshape(n, n),
+                       valid=valid.reshape(n, n), p_flat=p_flat, cells=cells)
+
+
+def select_attack(score, mode, rng=None):
+    """Greedy or sampled pick on the flat (j, k) layout, as a grid cell."""
+    p_cand = score.p_flat.values.reshape(-1)[list(score.cells)]
+    row = navigator.greedy_action(p_cand) if mode == "greedy" \
+        else navigator.sample_action(p_cand, rng)
+    return AttackAction(*divmod(score.cells[row], score.valid.shape[1]))
 
 
 def legacy_attacker(monkeypatch):
-    """Route the attacker through the per-target score loop for one test."""
+    """Route the attacker through the per-target score loop and the flat
+    picks for one test."""
     monkeypatch.setattr(attacker.Attacker, "encode", attacker_encode)
     monkeypatch.setattr(attacker.Attacker, "attack_score", attack_score)
+    monkeypatch.setattr(trainer, "select_attack", select_attack)

@@ -21,8 +21,6 @@ PACKAGE = ROOT / "src" / "advnav"
 
 # public names that may stay without a caller outside the tests, and why
 ALLOWED = {
-    "numeric_gradient": "finite-difference helper of the gradient tests",
-    "max_rel_error": "error measure of the gradient tests",
     "train_attacker": "attacker pretraining, the paper's second stage",
     "PerturbedInstruction.timestep": "perfbench's probe passes apply_perturbation a timestep",
     "Vocabulary.decode": "renders instructions as words for the planned run traces",

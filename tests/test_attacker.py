@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gradcheck import max_rel_error, numeric_gradient
 import straightline as sl
 from legacy_ops import legacy_attacker
+from legacy_ops import select_attack as legacy_select_attack
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import world as w
 from advnav.attacker import Attacker, select_attack
-from advnav.diffcore import Tape, Tensor, backward, max_rel_error, numeric_gradient
+from advnav.diffcore import Tape, Tensor, backward
 from advnav.navigator import ModelDims, Navigator
 
 DIMS = ModelDims(d_w=8, d_v=6, d_p=5, d_h=7)
@@ -66,33 +68,28 @@ def test_attack_score_matches_straight_line_oracle(seed, vocab):
 
     p = sl.np_params(att.params)
     u, f_w = sl.encode(p, instr.tokens, instr.target_set, DIMS.d_w)
-    cand_feats = [u[[c.source_pos for c in cands]] if cands else None
-                  for cands in instr.candidates]
+    # each grid row's valid columns are that target's substitute words
+    cand_feats = [u[[instr.target_set[i] for i in np.flatnonzero(row)]]
+                  for row in instr.valid]
     beta, gammas, p_a = sl.attack_score(p, f_w, cand_feats, f_v)
     np.testing.assert_allclose(score.beta, beta.reshape(-1), atol=1e-6)
     for j, g in enumerate(gammas):
         np.testing.assert_allclose(score.gamma[j][score.valid[j]], g, atol=1e-6)
-    # the valid cells, read flat, run in the oracle's (j, k) order
-    cells = [r for r, jk in enumerate(score.index_map) if jk is not None]
-    assert [score.index_map[r] for r in cells] == instr.valid_actions()
-    np.testing.assert_allclose(score.p_flat.values.reshape(-1)[cells], p_a, atol=1e-6)
+    # the valid cells, read row-major, run in the oracle's order
+    np.testing.assert_allclose(score.p_flat.values[instr.valid], p_a, atol=1e-6)
 
 
 def test_joint_distribution_is_valid_and_masked_cells_zero(vocab):
     att = make_attacker(3)
-    # hand-build ragged candidate lists to exercise the padded layout
+    # hand-build ragged grid rows to exercise the mask
     base = instr_of(vocab, "go to the table in the kitchen with the sofa")
-    instr = ins.Instruction(tokens=base.tokens, target_set=base.target_set,
-                            candidates=(base.candidates[0],
-                                        base.candidates[1][:1],
-                                        base.candidates[2]))
-    assert [len(c) for c in instr.candidates] == [2, 1, 2]
+    valid = base.valid.copy()
+    valid[1, 2] = False
+    instr = ins.Instruction(tokens=base.tokens, target_set=base.target_set, valid=valid)
+    assert valid.sum(axis=1).tolist() == [2, 1, 2]
     enc = att.encode(None, instr)
     score = att.attack_score(None, enc, np.random.default_rng(0).normal(size=DIMS.d_v))
-    # the grid's valid cells are exactly the real (target, candidate) pairs
-    real = [jk for jk in score.index_map if jk is not None]
-    assert real == instr.valid_actions()
-    assert score.valid.reshape(-1).tolist() == [jk is not None for jk in score.index_map]
+    assert np.array_equal(score.valid, valid)
     assert not score.p_flat.values[~score.valid].any()
     assert not score.gamma[~score.valid].any()
     assert abs(score.p_flat.values.sum() - 1.0) < 1e-6
@@ -101,9 +98,10 @@ def test_joint_distribution_is_valid_and_masked_cells_zero(vocab):
 def test_non_attackable_instruction_rejected(vocab):
     att = make_attacker(0)
     base = instr_of(vocab, "go to the table in the kitchen with the sofa")
-    # a hand-built empty candidate row would leave a grid row all masked
-    empty_row = ins.Instruction(tokens=base.tokens, target_set=base.target_set,
-                                candidates=(base.candidates[0], (), base.candidates[2]))
+    # a hand-built empty grid row would leave that row all masked
+    valid = base.valid.copy()
+    valid[1] = False
+    empty_row = ins.Instruction(tokens=base.tokens, target_set=base.target_set, valid=valid)
     for instr in (instr_of(vocab, "walk past the table then the table"), empty_row):
         assert not instr.attackable
         enc = att.encode(None, instr)
@@ -146,10 +144,10 @@ def test_grid_score_matches_the_per_target_score(monkeypatch):
     old = [att.attack_score(None, att.encode(None, instr), view) for instr, view in cases]
     for a, b in zip(new, old):
         np.testing.assert_allclose(a.beta, b.beta, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(a.gamma[a.valid], b.gamma[b.valid], rtol=1e-12, atol=0)
-        joint = {jk: q for jk, q in zip(a.index_map, a.p_flat.values.reshape(-1))}
-        np.testing.assert_allclose([joint[jk] for jk in b.index_map],
-                                   b.p_flat.values.reshape(-1), rtol=1e-12, atol=0)
+        assert np.array_equal(a.valid, b.valid)
+        np.testing.assert_allclose(a.gamma, b.gamma, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(a.p_flat.values.reshape(-1), b.p_flat.values.reshape(-1),
+                                   rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -157,18 +155,18 @@ def test_grid_picks_match_the_per_target_picks(dtype, monkeypatch):
     att = make_attacker(8, dtype=dtype)
     cases = generated_cases()
 
-    def picks():
+    def picks(select):
         rng = np.random.default_rng(3)
         out = []
         for instr, view in cases:
             score = att.attack_score(None, att.encode(None, instr), view)
-            out.append((select_attack(score, "greedy"),
-                        [select_attack(score, "sample", rng) for _ in range(10)]))
+            out.append((select(score, "greedy"),
+                        [select(score, "sample", rng) for _ in range(10)]))
         return out
 
-    new = picks()
+    new = picks(select_attack)
     legacy_attacker(monkeypatch)
-    assert new == picks()
+    assert new == picks(legacy_select_attack)
 
 
 def test_select_degenerate_distribution(vocab):
@@ -193,8 +191,7 @@ def test_greedy_tie_breaks_to_lowest_flat_index(vocab):
     flat = np.where(score.valid, 0.1, 0.0).reshape(-1)
     flat[cells[[2, 5]]] = 0.3  # the third and sixth valid cells tie
     score.p_flat.values = flat.reshape(score.valid.shape)
-    action = select_attack(score, "greedy")
-    assert score.index_map[cells[2]] == (action.target_index, action.candidate_index)
+    assert select_attack(score, "greedy") == ins.AttackAction(*divmod(cells[2], 3))
 
 
 def test_uniform_sampling_frequencies(vocab):
@@ -232,7 +229,7 @@ def test_attack_nll_gradients_match_finite_differences(vocab):
     instr = instr_of(vocab, "go to the table in the kitchen with the sofa")
     rng = np.random.default_rng(5)
     f_v = rng.normal(size=(1, dims.d_v))
-    cell = att.encode(None, instr).index_map.index((1, 1))
+    cell = 1 * 3 + 2  # grid cell (1, 2): "sofa" in place of "kitchen"
 
     def run():
         t = Tape()

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from gradcheck import max_rel_error, numeric_gradient
 import legacy_ops
 from advnav import diffcore as dc
 from advnav.diffcore import (
     EngineError, Tape, Tensor, add, attend, backward, concat, constant,
     cross_entropy, embedding, gather_rows, init_lstm_params,
-    init_uniform, lstm_cell, matmul, max_rel_error, multiply, numeric_gradient,
-    rowdot, scale, sigmoid, softmax, sum_reduce, tanh, zero_grads,
+    init_uniform, lstm_cell, matmul, multiply, rowdot, scale, sigmoid, softmax,
+    sum_reduce, tanh, zero_grads,
 )
 
 

@@ -1,6 +1,10 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import legacy_ops
 from advnav import instruct as ins
 from advnav import world as w
 
@@ -45,34 +49,32 @@ def test_candidates_are_remaining_targets(vocab):
     instr = ins.make_instruction(tokens, vocab)
     names = [vocab.word(tokens[i]) for i in instr.target_set]
     assert names == ["table", "kitchen", "sofa"]
-    cand_words = [vocab.word(c.token_id) for c in instr.candidates[0]]
-    assert cand_words == ["kitchen", "sofa"]
-    for j, cands in enumerate(instr.candidates):
-        own = tokens[instr.target_set[j]]
-        assert all(c.token_id != own for c in cands)
+    assert [names[i] for i in np.flatnonzero(instr.valid[0])] == ["kitchen", "sofa"]
+    for j, i in instr.valid_actions():
+        assert tokens[instr.target_set[i]] != tokens[instr.target_set[j]]
 
 
 def test_two_targets_one_candidate_each(vocab):
     tokens = toks(vocab, "walk past the table into the kitchen")
     instr = ins.make_instruction(tokens, vocab)
-    assert [len(c) for c in instr.candidates] == [1, 1]
+    assert instr.valid.tolist() == [[False, True], [True, False]]
 
 
 def test_duplicate_targets_deduplicated(vocab):
     tokens = toks(vocab, "go to the table then the kitchen then the table")
     instr = ins.make_instruction(tokens, vocab)
     assert instr.n_targets == 3
-    # the "kitchen" target sees "table" once despite two occurrences
-    cand_words = [vocab.word(c.token_id) for c in instr.candidates[1]]
-    assert cand_words == ["table"]
-    expected = {vocab.id_of("table")}
-    assert {c.token_id for c in instr.candidates[1]} == expected
+    # the "kitchen" target sees "table" once despite two occurrences: in the
+    # first table's column
+    assert np.flatnonzero(instr.valid[1]).tolist() == [0]
+    # the two tables offer each other nothing
+    assert not instr.valid[0, 2] and not instr.valid[2, 0]
 
 
 def test_apply_perturbation_single_substitution(vocab):
     tokens = toks(vocab, "walk past the table into the kitchen")
     instr = ins.make_instruction(tokens, vocab)
-    pert = ins.apply_perturbation(instr, ins.AttackAction(0, 0), timestep=0)
+    pert = ins.apply_perturbation(instr, ins.AttackAction(0, 1), timestep=0)
     changed = [i for i, (a, b) in enumerate(zip(instr.tokens, pert.tokens)) if a != b]
     assert changed == [instr.target_set[0]]
     assert vocab.word(pert.tokens[changed[0]]) == "kitchen"
@@ -81,7 +83,7 @@ def test_apply_perturbation_single_substitution(vocab):
 def test_perturbations_never_compound(vocab):
     tokens = toks(vocab, "go to the table in the kitchen with the sofa")
     instr = ins.make_instruction(tokens, vocab)
-    p0 = ins.apply_perturbation(instr, ins.AttackAction(0, 0), timestep=0)
+    p0 = ins.apply_perturbation(instr, ins.AttackAction(0, 1), timestep=0)
     p1 = ins.apply_perturbation(instr, ins.AttackAction(2, 1), timestep=1)
     for p in (p0, p1):
         diff = sum(a != b for a, b in zip(instr.tokens, p.tokens))
@@ -108,10 +110,36 @@ def test_substitutes_preserve_landmark_class(vocab, setup):
 def test_invalid_action_rejected(vocab):
     tokens = toks(vocab, "walk past the table into the kitchen")
     instr = ins.make_instruction(tokens, vocab)
+    dup = ins.make_instruction(
+        toks(vocab, "go to the table then the kitchen then the table"), vocab)
+    # out of range, a target onto itself, and off-grid cells (the same word,
+    # and a repeated word's second column)
+    for bad, action in [(instr, (5, 0)), (instr, (0, 3)), (instr, (-1, 0)),
+                        (instr, (0, -1)), (instr, (0, 0)), (instr, (1, 1)),
+                        (dup, (0, 2)), (dup, (1, 2))]:
+        with pytest.raises(ValueError):
+            ins.apply_perturbation(bad, ins.AttackAction(*action), 0)
+
+
+def test_valid_grid_is_read_only_and_left_out_of_equality(vocab):
+    tokens = toks(vocab, "walk past the table into the kitchen")
+    instr = ins.make_instruction(tokens, vocab)
     with pytest.raises(ValueError):
-        ins.apply_perturbation(instr, ins.AttackAction(5, 0), 0)
-    with pytest.raises(ValueError):
-        ins.apply_perturbation(instr, ins.AttackAction(0, 3), 0)
+        instr.valid[0, 0] = True
+    again = ins.make_instruction(tokens, vocab)
+    assert instr == again and hash(instr) == hash(again)
+
+
+@pytest.mark.parametrize("spec", ["SHORT_EVAL", "LONG"])
+def test_grid_matches_the_candidate_lists_on_bench_items(spec, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    bench = importlib.import_module("bench")
+    for seed in (1, 2, 3):
+        for item in bench.make_items(getattr(bench, spec), seed):
+            instr = item.instruction
+            cands = legacy_ops.build_candidate_sets(instr.tokens, instr.target_set)
+            assert instr.valid_actions() == legacy_ops.candidate_cells(instr)
+            assert instr.attackable == (instr.n_targets >= 2 and all(cands))
 
 
 def test_generate_instruction_deterministic(setup):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from gradcheck import max_rel_error, numeric_gradient
 import legacy_ops
 import straightline as sl
 from advnav import diffcore as dc
-from advnav.diffcore import Tape, Tensor, backward, max_rel_error, numeric_gradient
+from advnav.diffcore import Tape, Tensor, backward
 from advnav.navigator import (ModelDims, Navigator, encode_tokens, greedy_action,
                               sample_action)
 

@@ -4,9 +4,11 @@ Every config either raises ``ValueError`` or yields a world that keeps its
 promises: connected, degree at most ``j_max``, nodes at least 2 m apart,
 a teacher that walks to the goal within the horizon, and instructions whose
 every valid attack swaps exactly one landmark word for another.  Any
-instruction built from tokens has a candidate for every target as soon as
-one target has one, the invariant the attacker's target grid relies on.  The
-examples are derandomized, so each run checks the same set.
+instruction built from tokens has a valid cell in every target-grid row as
+soon as one row has one, the invariant the attacker's masked softmax relies
+on, and its grid lists the same attacks, in the same order, as the earlier
+per-target candidate lists.  The examples are derandomized, so each run
+checks the same set.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import legacy_ops
 from advnav import instruct as ins
 from advnav import world as w
 
@@ -99,5 +102,20 @@ def test_one_target_with_a_candidate_means_all_have_one(data):
     vocab = ins.build_vocabulary()
     tokens = data.draw(st.lists(st.integers(0, len(vocab.words) - 1), max_size=40))
     instr = ins.make_instruction(tokens, vocab)
-    rows = [len(c) > 0 for c in instr.candidates]
+    rows = instr.valid.any(axis=1).tolist()
     assert any(rows) == (bool(rows) and all(rows)) == instr.attackable
+
+
+def _few_words():
+    vocab = ins.build_vocabulary()
+    return [vocab.id_of(x) for x in ("table", "sofa", "lamp", "kitchen", "garden", "the", "go")]
+
+
+@PROPERTY_SETTINGS
+@given(tokens=st.lists(st.sampled_from(_few_words()), max_size=30))
+def test_grid_matches_the_candidate_lists(tokens):
+    # few distinct words, so repeated targets are the common case
+    instr = ins.make_instruction(tokens, ins.build_vocabulary())
+    cands = legacy_ops.build_candidate_sets(instr.tokens, instr.target_set)
+    assert instr.valid_actions() == legacy_ops.candidate_cells(instr)
+    assert instr.attackable == (instr.n_targets >= 2 and all(cands))

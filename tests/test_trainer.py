@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import max_rel_error
 import straightline as sl
 from legacy_ops import legacy_attacker, legacy_encoding, legacy_numerics
 from advnav import diffcore as dc
@@ -9,7 +10,7 @@ from advnav import trainer as tr
 from advnav import world as w
 from advnav.attacker import Attacker
 from advnav.checkpoint import params_digest
-from advnav.diffcore import Tape, max_rel_error
+from advnav.diffcore import Tape
 from advnav.navigator import ModelDims, Navigator
 
 DIMS = ModelDims(d_w=16, d_v=32, d_p=16, d_h=16)

@@ -43,7 +43,10 @@ def test_bfs_reaches_all_nodes():
 def test_world_invariants():
     g = small_world(seed=3)
     for a, b in g.edges:
-        assert g.edge_length(a, b) > 0
+        assert g.edge_lengths[a, b] > 0
+        assert g.edge_lengths[a, b] == g.edge_lengths[b, a] \
+            == np.linalg.norm(g.coords[a] - g.coords[b])
+    assert len(g.edge_lengths) == 2 * len(g.edges)
     for n in range(g.n_nodes):
         assert 1 <= len(g.neighbors[n]) <= g.config.j_max
         assert g.neighbors[n] == sorted(g.neighbors[n])
@@ -74,7 +77,7 @@ def _brute_force_distance(g, a, b):
         for mid in itertools.permutations([n for n in nodes if n not in (a, b)], r - 1):
             path = (a,) + mid + (b,)
             if all(adjacent(u, v) for u, v in zip(path, path[1:])):
-                length = sum(g.edge_length(u, v) for u, v in zip(path, path[1:]))
+                length = sum(g.edge_lengths[u, v] for u, v in zip(path, path[1:]))
                 best = min(best, length)
     return best
 
@@ -103,7 +106,7 @@ def test_shortest_path_endpoints_and_length():
     g = small_world(seed=4)
     path = w.shortest_path(g, 0, g.n_nodes - 1)
     assert path[0] == 0 and path[-1] == g.n_nodes - 1
-    length = sum(g.edge_length(u, v) for u, v in zip(path, path[1:]))
+    length = sum(g.edge_lengths[u, v] for u, v in zip(path, path[1:]))
     assert length == pytest.approx(w.geodesic_distance(g, 0, g.n_nodes - 1))
 
 
@@ -198,7 +201,7 @@ def test_teacher_reaches_goal():
         ep = w.step(ep, w.teacher_action(ep))
     assert ep.current == ep.goal
     assert w.geodesic_distance(g, ep.start, ep.goal) == pytest.approx(
-        sum(g.edge_length(u, v) for u, v in zip(ep.trajectory, ep.trajectory[1:])))
+        sum(g.edge_lengths[u, v] for u, v in zip(ep.trajectory, ep.trajectory[1:])))
 
 
 def test_landmark_features_stable_and_distinct():
