@@ -13,7 +13,9 @@ an optional validity mask), tanh, sigmoid, embedding (row lookup), scalar
 scale, sum-reduce and cross-entropy-with-target.  Everything the models
 need (bilinear score columns and grids, weighted sums, row gathers, gated
 recurrences) is composed from these; see ``rowdot``/``attend``/
-``gather_rows``/``lstm_cell``.
+``gather_rows``/``lstm_cell``.  One composition skips them: an untaped
+``lstm_cell`` needs no backward, so it runs as one numpy forward instead
+of 25 primitive applications, with the same bits.
 
 Tensors are float32 by default and reductions accumulate in float64 before
 casting back.  Gradient checks should build float64 tensors instead, so
@@ -162,6 +164,11 @@ def _matmul_backward(ctx, g, out, a, b):
     return [ga.T if ta else ga, gb.T if tb else gb]
 
 
+def _sigmoid(x):
+    """The logistic function in its tanh form, which cannot overflow."""
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+
+
 PRIMITIVES = {
     "matmul": (          # ctx: (transpose a, transpose b)
         _matmul_forward,
@@ -187,8 +194,8 @@ PRIMITIVES = {
         lambda ctx, x: np.tanh(x),
         lambda ctx, g, out, x: [g * (1.0 - out * out)],
     ),
-    "sigmoid": (         # the tanh form cannot overflow
-        lambda ctx, x: 0.5 * (np.tanh(0.5 * x) + 1.0),
+    "sigmoid": (
+        lambda ctx, x: _sigmoid(x),
         lambda ctx, g, out, x: [g * out * (1.0 - out)],
     ),
     "embedding": (
@@ -350,7 +357,17 @@ def lstm_cell(tape, x, h_prev, c_prev, params, prefix=""):
 
     ``params`` holds per-gate input/recurrent/bias tensors under keys
     ``{prefix}wx{i,f,g,o}``, ``{prefix}wh{i,f,g,o}``, ``{prefix}b{i,f,g,o}``.
+
+    On a tape the cell is composed from primitives, 25 entries that
+    ``backward`` walks.  Untaped (``tape is None``) it needs no backward and
+    runs as one numpy forward over the four gates stacked on a leading axis;
+    ``x``, ``h_prev`` and ``c_prev`` must then be single rows.  Both paths
+    give the same bits: each gate's products are the same BLAS calls on the
+    same shapes, and every elementwise step is the same numpy operation.
     """
+    if tape is None:
+        return _untaped_cell(x, h_prev, c_prev, params, prefix)
+
     def gate(tag, act):
         s = add(tape, add(tape, matmul(tape, x, params[prefix + "wx" + tag]),
                           matmul(tape, h_prev, params[prefix + "wh" + tag])),
@@ -364,6 +381,25 @@ def lstm_cell(tape, x, h_prev, c_prev, params, prefix=""):
     c = add(tape, multiply(tape, f, c_prev), multiply(tape, i, g))
     h = multiply(tape, o, tanh(tape, c))
     return h, c
+
+
+def _untaped_cell(x, h_prev, c_prev, params, prefix):
+    # gates on a leading axis, (4, d, h), (4, h, h) and (4, 1, h) in i, f,
+    # g, o order, so each product runs one gemv per gate on the composed
+    # cell's shapes; one wider (d, 4h) gemv blocks differently and gives
+    # other bits at some widths
+    wx, wh, b = (np.array([params[prefix + kind + tag].values for tag in "ifgo"])
+                 for kind in ("wx", "wh", "b"))
+    d, n = wx.shape[1:]
+    for name, t, width in (("x", x, d), ("h_prev", h_prev, n), ("c_prev", c_prev, n)):
+        if t.values.shape != (1, width):
+            raise EngineError(f"lstm_cell: {name} of shape {t.values.shape}, "
+                              f"weights need (1, {width})")
+    s = (x.values @ wx + h_prev.values @ wh) + b
+    act = _sigmoid(s)
+    c = act[1] * c_prev.values + act[0] * np.tanh(s[2])
+    h = act[3] * np.tanh(c)
+    return Tensor._wrap(h), Tensor._wrap(c)
 
 
 def init_uniform(rng, shape, fan_in=None, dtype=np.float32):

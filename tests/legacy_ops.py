@@ -1,12 +1,15 @@
 """The earlier compositions of ``rowdot``, ``attend``, the ``sigmoid``
-forward and the instruction encoder, rebuilt from public ``diffcore``
-primitives.
+forward, the untaped ``lstm_cell`` and the instruction encoder, rebuilt
+from public ``diffcore`` primitives.
 
 ``rowdot`` and ``attend`` were 3-op chains over ones-matrices (tile,
 multiply, reduce by matmul) and the sigmoid forward split its input by sign
 with two ``exp`` calls.  They stay here as parity references for the
 one-op forms, and ``legacy_numerics`` swaps them back into ``diffcore`` so
 a run can reproduce the earlier float arithmetic bit for bit.
+
+Untaped cells ran through the same primitives as taped ones;
+``legacy_untaped_cell`` sends them there again.
 
 The encoder ran all 2L cells of every sequence with one embedding lookup
 per position, and each rollout kept its own encodings; ``legacy_encoding``
@@ -64,12 +67,24 @@ def sigmoid_forward(ctx, x):
     return out
 
 
+def legacy_untaped_cell(monkeypatch):
+    """Run untaped ``lstm_cell`` calls through the composed primitives for
+    one test: on a throwaway tape, which records them and changes no value."""
+    cell = dc.lstm_cell
+
+    def composed(tape, *args, **kwargs):
+        return cell(dc.Tape() if tape is None else tape, *args, **kwargs)
+
+    monkeypatch.setattr(dc, "lstm_cell", composed)
+
+
 def legacy_numerics(monkeypatch):
     """Route ``diffcore`` through the earlier compositions for one test."""
     monkeypatch.setattr(dc, "rowdot", rowdot)
     monkeypatch.setattr(dc, "attend", attend)
     monkeypatch.setitem(dc.PRIMITIVES, "sigmoid",
                         (sigmoid_forward, dc.PRIMITIVES["sigmoid"][1]))
+    legacy_untaped_cell(monkeypatch)    # so untaped cells use that sigmoid too
 
 
 def encode_tokens(tape, params, tokens, memo=None):

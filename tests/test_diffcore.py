@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import max_rel_error, numeric_gradient
 import legacy_ops
@@ -242,17 +244,52 @@ def test_lstm_cell_zero_params_halves_cell():
     x = constant(np.zeros((1, 3)))
     c_prev = constant([[1.0, -2.0, 0.5, 4.0]])
     h_prev = constant(np.zeros((1, 4)))
-    h, c = lstm_cell(None, x, h_prev, c_prev, params)
-    np.testing.assert_allclose(c.values, 0.5 * c_prev.values, atol=1e-7)
-    np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev.values), atol=1e-7)
+    for tape in (None, Tape()):
+        h, c = lstm_cell(tape, x, h_prev, c_prev, params)
+        np.testing.assert_allclose(c.values, 0.5 * c_prev.values, atol=1e-7)
+        np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev.values), atol=1e-7)
 
 
 def test_lstm_cell_all_zero_state_gives_zero_hidden():
     params = {k: Tensor(np.zeros_like(v.values))
               for k, v in init_lstm_params(np.random.default_rng(0), 3, 4).items()}
-    h, c = lstm_cell(None, constant(np.zeros((1, 3))), constant(np.zeros((1, 4))),
-                     constant(np.zeros((1, 4))), params)
-    np.testing.assert_array_equal(h.values, np.zeros((1, 4), dtype=np.float32))
+    for tape in (None, Tape()):
+        h, c = lstm_cell(tape, constant(np.zeros((1, 3))), constant(np.zeros((1, 4))),
+                         constant(np.zeros((1, 4))), params)
+        np.testing.assert_array_equal(h.values, np.zeros((1, 4), dtype=np.float32))
+
+
+@pytest.mark.parametrize("tape", [None, Tape()], ids=["untaped", "taped"])
+@pytest.mark.parametrize("bad", ["x", "h_prev", "c_prev"])
+def test_lstm_cell_rejects_misshapen_inputs(tape, bad):
+    params = init_lstm_params(np.random.default_rng(0), 3, 4)
+    args = {"x": constant(np.zeros((1, 3))), "h_prev": constant(np.zeros((1, 4))),
+            "c_prev": constant(np.zeros((1, 4)))}
+    # numpy would broadcast a (1, 1) state across the row without a check
+    args[bad] = constant(np.zeros((1, 1) if bad == "c_prev" else (1, 5)))
+    with pytest.raises(EngineError, match="lstm_cell|matmul|multiply"):
+        lstm_cell(tape, args["x"], args["h_prev"], args["c_prev"], params)
+
+
+# the model's encoder (32 -> 16) and decoder (64 -> 32) cells, and any width
+_CELL_DIMS = st.one_of(st.sampled_from([(32, 16), (64, 32)]),
+                       st.tuples(st.integers(1, 40), st.integers(1, 40)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(dims=_CELL_DIMS, dtype=st.sampled_from([np.float32, np.float64]),
+       scale=st.sampled_from([0.1, 1.0, 30.0, 1e4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_untaped_lstm_cell_gives_the_taped_bits(dims, dtype, scale, seed):
+    # scale 1e4 drives the gate sums far into saturation (|s| up to ~1e4)
+    rng = np.random.default_rng(seed)
+    d, n = dims
+    params = init_lstm_params(rng, d, n, prefix="p.", dtype=dtype)
+    x, h0, c0 = (Tensor(scale * rng.normal(size=(1, w)), dtype=dtype) for w in (d, n, n))
+    with np.errstate(all="raise"):
+        h, c = lstm_cell(None, x, h0, c0, params, prefix="p.")
+        h_t, c_t = lstm_cell(Tape(), x, h0, c0, params, prefix="p.")
+    assert h.dtype == c.dtype == dtype
+    assert np.array_equal(h.values, h_t.values) and np.array_equal(c.values, c_t.values)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,9 +1,13 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gradcheck import max_rel_error
 import straightline as sl
-from legacy_ops import legacy_attacker, legacy_encoding, legacy_numerics
+from legacy_ops import (legacy_attacker, legacy_encoding, legacy_numerics,
+                        legacy_untaped_cell)
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import trainer as tr
@@ -354,6 +358,43 @@ def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
     assert any(np.any(v != 0) for v in new.values())
     for k in old:
         assert max_rel_error(new[k], old[k]) < 1e-9, k
+
+
+@pytest.mark.parametrize("spec", ["SHORT_EVAL", "LONG"])
+def test_greedy_validation_matches_the_composed_untaped_cell(spec, monkeypatch):
+    # every cell of a greedy validation is untaped: the one-call forward must
+    # give the results and trace rows of the composed primitives, bit for bit
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    bench = importlib.import_module("bench")
+    items = bench.make_items(getattr(bench, spec), 1)[:64]
+    models = bench.make_models(("nav", "att"))
+    rollout = tr.rollout_episode
+
+    def validate():
+        rows = []
+
+        def tracing(*args, **kwargs):
+            res = rollout(*args, **kwargs)
+            rows.append((res.nav_buffer.success, res.trace))
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(tr, "rollout_episode", tracing)
+            out = tr.validate_navigator(items, models.nav, tr.TrainConfig(),
+                                        att=models.att, seed=1)
+        return out, rows
+
+    new = validate()
+    legacy_untaped_cell(monkeypatch)
+    old = validate()
+    assert new[0] == old[0]
+    assert len(new[1]) == len(old[1]) == 2 * len(items)
+    for (succ_new, trace_new), (succ_old, trace_old) in zip(new[1], old[1]):
+        assert succ_new == succ_old and len(trace_new) == len(trace_old)
+        for r_new, r_old in zip(trace_new, trace_old):
+            assert r_new.keys() == r_old.keys()
+            for key in r_new:
+                assert np.array_equal(r_new[key], r_old[key]), key
 
 
 def test_rollout_perturbs_at_most_one_token_per_step():
