@@ -27,7 +27,6 @@ from .navigator import (ModelDims, encode_tokens, greedy_action,
 
 @dataclass(frozen=True)
 class AttackerEncoding:
-    u: Tensor                  # (L, d_w) token features of the original tokens
     f_w: Tensor                # (L', d_w) target-word features
     instruction: Instruction
 
@@ -65,7 +64,7 @@ class Attacker:
         update."""
         u = encode_tokens(tape, self.params, instr.tokens)
         f_w = dc.gather_rows(tape, u, list(instr.target_set))
-        return AttackerEncoding(u=u, f_w=f_w, instruction=instr)
+        return AttackerEncoding(f_w=f_w, instruction=instr)
 
     def attack_score(self, tape, enc: AttackerEncoding, visual_state) -> AttackScore:
         """Joint distribution over the target grid for the current visual state.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -254,10 +255,10 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
             if not nav_teacher:
                 nav_tr.value_out = nav_value.forward(nav_tape, s_t)
                 nav_tr.value = nav_tr.value_out.item()
-            if action_att is not None and out.p_c is not None:
-                nav_tr.p_c = out.p_c
         if action_att is not None:
             nav_tr.attacked_target = action_att.target_index
+            if nav_learn:
+                nav_tr.p_c = out.p_c
         nav_buf.transitions.append(nav_tr)
 
         if att_buf is not None:
@@ -347,7 +348,7 @@ def a2c_update(tape: Tape, buf: RolloutBuffer, returns, advantages,
             il = dc.cross_entropy(tape, tr.dist, tr.teacher)
             terms.append(dc.scale(tape, il, cfg.il_weight))
             diag["il"] += il.item()
-        if tr.p_c is not None and tr.attacked_target is not None and cfg.aux_weight:
+        if tr.p_c is not None and cfg.aux_weight:
             aux = dc.cross_entropy(tape, tr.p_c, tr.attacked_target)
             terms.append(dc.scale(tape, aux, cfg.aux_weight))
             diag["aux"] += aux.item()
@@ -405,34 +406,33 @@ def _random_attack_fn(instruction, rng):
     return acts[int(rng.integers(len(acts)))]
 
 
+def validate_navigator(items, nav, cfg, att=None, seed=0):
+    """Clean SR and, with ``att``, attacked SR and attacked-word prediction
+    accuracy.  Each item's attacked episode follows its clean one and shares
+    its ``UpdateEncodings``, so it reuses the clean episode's encoder cells."""
+    opponents = (None,) if att is None else (None, att)
+    succ, hits, total = [0, 0], 0, 0
+    for i, item in enumerate(items):
+        encs = UpdateEncodings()
+        for k, opponent in enumerate(opponents):
+            res = rollout_episode(item, nav, opponent, "eval",
+                                  np.random.default_rng([seed, i]), cfg,
+                                  record_trace=opponent is not None, encodings=encs)
+            succ[k] += res.nav_buffer.success
+            for row in res.trace:
+                if "attacked_target" in row:
+                    total += 1
+                    hits += row["predicted_target"] == row["attacked_target"]
+    n = max(len(items), 1)
+    out = {"clean": succ[0] / n}
+    if att is not None:
+        out.update(attacked=succ[1] / n, aux_acc=hits / max(total, 1))
+    return out
+
+
 def evaluate_success(items, nav, cfg, seed=0):
     """Clean greedy success rate over items with per-episode seeding."""
-    succ = 0
-    for i, item in enumerate(items):
-        erng = np.random.default_rng([seed, i])
-        res = rollout_episode(item, nav, None, "eval", erng, cfg)
-        succ += res.nav_buffer.success
-    return succ / max(len(items), 1)
-
-
-def validate_navigator(items, nav, cfg, att=None, seed=0):
-    """Clean SR, attacked SR, and attacked-word prediction accuracy."""
-    out = {"clean": evaluate_success(items, nav, cfg, seed=seed)}
-    if att is None:
-        return out
-    succ = hits = total = 0
-    for i, item in enumerate(items):
-        erng = np.random.default_rng([seed, i])
-        res = rollout_episode(item, nav, att, "eval", erng, cfg,
-                              record_trace=True)
-        succ += res.nav_buffer.success
-        for row in res.trace:
-            if "attacked_target" in row and "predicted_target" in row:
-                total += 1
-                hits += row["predicted_target"] == row["attacked_target"]
-    out["attacked"] = succ / max(len(items), 1)
-    out["aux_acc"] = hits / max(total, 1)
-    return out
+    return validate_navigator(items, nav, cfg, seed=seed)["clean"]
 
 
 def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None,
@@ -444,12 +444,13 @@ def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None,
     res_il = rollout_episode(item, nav, att, "nav_teacher", rng, cfg, **shared)
     res_rl = rollout_episode(item, nav, att, "nav_learn", rng, cfg,
                              nav_value=nav_value, **shared)
-    returns, advs = compute_returns(res_rl.nav_buffer, cfg.gamma)
     buf = RolloutBuffer(transitions=res_il.nav_buffer.transitions
                         + res_rl.nav_buffer.transitions,
                         success=res_rl.nav_buffer.success)
-    n_il = len(res_il.nav_buffer.transitions)
-    diag = a2c_update(tape, buf, [0.0] * n_il + returns, [0.0] * n_il + advs,
+    # the sampled transitions are the tail, so their returns are those of
+    # their own episode; the teacher-forced ones (use_rl=False) are not read
+    returns, advs = compute_returns(buf, cfg.gamma)
+    diag = a2c_update(tape, buf, returns, advs,
                       nav.params, nav_value.params, cfg, opt_state=opt_state)
     return diag, res_rl
 
@@ -465,85 +466,75 @@ def attacker_update(item, nav, att, att_value, acfg, rng, opt_state=None):
     return diag, res
 
 
-def train_navigator(items, nav, nav_value, cfg, rng, iters, att=None, log_fn=None):
-    """Clean navigator training, or training under a frozen attacker."""
-    opt_state = {}
+def _log(log_fn, tag, it, player, buf, diag):
+    """The one log-record builder: ``tag`` (stage, and round when
+    adversarial), iteration, player, episode reward and success, then the
+    update's diagnostics with floats rounded to 6 digits."""
+    log_fn({**tag, "iteration": it, "player": player, "reward": sum(buf.rewards),
+            "success": int(buf.success),
+            **{k: (round(v, 6) if isinstance(v, float) else v) for k, v in diag.items()}})
+
+
+def _navigator_updates(items, nav, nav_value, cfg, rng, iters, att, opt_state, log):
+    """Clean updates with no ``att``, else hardening against the frozen
+    ``att``; only the opponent choices draw ``rng.random()``."""
+    att_digest = None if att is None else params_digest(att.params)
     for it in range(iters):
         item = _pick(items, rng)
-        diag, res = navigator_update(item, nav, nav_value, cfg, rng, att=att,
-                                     opt_state=opt_state)
-        if log_fn:
-            log_fn({"stage": "pretrain_nav", "iteration": it, "player": "nav",
-                    "reward": sum(res.nav_buffer.rewards),
-                    "success": int(res.nav_buffer.success), **_round(diag)})
+        # alternate attacked and clean episodes so hardening does not
+        # crowd out clean competence; a slice of the attacked episodes
+        # uses random substitutions to vary the attack distribution
+        opponent, attack_fn = None, None
+        if att is not None and rng.random() < cfg.attacked_fraction:
+            if rng.random() < cfg.harden_random:
+                attack_fn = _random_attack_fn
+            else:
+                opponent = att
+        diag, res = navigator_update(item, nav, nav_value, cfg, rng, att=opponent,
+                                     attack_fn=attack_fn, opt_state=opt_state)
+        if log:
+            log(it, "nav", res.nav_buffer, diag)
+    if att is not None and params_digest(att.params) != att_digest:
+        raise RuntimeError("frozen attacker changed during navigator updates")
 
 
-def train_attacker(items, nav, att, att_value, cfg, rng, iters, log_fn=None):
-    """Attacker training against a frozen navigator."""
+def _attacker_updates(items, nav, att, att_value, acfg, rng, iters, opt_state, log):
     nav_digest = params_digest(nav.params)
-    acfg = cfg.for_attacker()
-    opt_state = {}
     for it in range(iters):
         item = _pick(items, rng)
         if not item.instruction.attackable:
             continue
         diag, res = attacker_update(item, nav, att, att_value, acfg, rng, opt_state)
-        if log_fn:
-            log_fn({"stage": "pretrain_att", "iteration": it, "player": "att",
-                    "reward": sum(res.att_buffer.rewards),
-                    "success": int(res.att_buffer.success), **_round(diag)})
+        if log:
+            log(it, "att", res.att_buffer, diag)
     if params_digest(nav.params) != nav_digest:
-        raise RuntimeError("frozen navigator parameters changed during attacker training")
+        raise RuntimeError("frozen navigator changed during attacker updates")
+
+
+def train_navigator(items, nav, nav_value, cfg, rng, iters, att=None, log_fn=None):
+    """Clean navigator training, or with ``att`` hardening against that
+    frozen attacker: each update is attacked with probability
+    ``attacked_fraction``, by random substitutions for a ``harden_random``
+    share of those, as in the adversarial rounds."""
+    _navigator_updates(items, nav, nav_value, cfg, rng, iters, att, {},
+                       log_fn and partial(_log, log_fn, {"stage": "pretrain_nav"}))
+
+
+def train_attacker(items, nav, att, att_value, cfg, rng, iters, log_fn=None):
+    """Attacker training against a frozen navigator."""
+    _attacker_updates(items, nav, att, att_value, cfg.for_attacker(), rng, iters, {},
+                      log_fn and partial(_log, log_fn, {"stage": "pretrain_att"}))
 
 
 def adversarial_train(items, nav, att, nav_value, att_value, cfg, rng, log_fn=None):
     """Alternating rounds: freeze the attacker while the navigator takes
-    n_eta updates on perturbed instructions (with the attacked-word term),
-    then freeze the navigator for n_pi attacker updates.  Returns the exact
-    update sequence."""
-    update_log = []
+    n_eta hardening updates (as ``train_navigator`` with ``att``), then
+    freeze the navigator for n_pi attacker updates.  Each player's momentum
+    carries across rounds.  Returns the update sequence."""
     acfg = cfg.for_attacker()
     nav_opt, att_opt = {}, {}
     for rnd in range(cfg.n_iter):
-        att_digest = params_digest(att.params)
-        for j in range(cfg.n_eta):
-            item = _pick(items, rng)
-            # alternate attacked and clean episodes so hardening does not
-            # crowd out clean competence; a slice of the attacked episodes
-            # uses random substitutions to vary the attack distribution
-            opponent, attack_fn = None, None
-            if rng.random() < cfg.attacked_fraction:
-                if rng.random() < cfg.harden_random:
-                    attack_fn = _random_attack_fn
-                else:
-                    opponent = att
-            diag, res = navigator_update(item, nav, nav_value, cfg, rng,
-                                         att=opponent, attack_fn=attack_fn,
-                                         opt_state=nav_opt)
-            update_log.append("eta")
-            if log_fn:
-                log_fn({"stage": "adversarial", "round": rnd, "iteration": j,
-                        "player": "nav", "reward": sum(res.nav_buffer.rewards),
-                        "success": int(res.nav_buffer.success), **_round(diag)})
-        if params_digest(att.params) != att_digest:
-            raise RuntimeError("frozen attacker changed during navigator block")
-        nav_digest = params_digest(nav.params)
-        for j in range(cfg.n_pi):
-            item = _pick(items, rng)
-            if not item.instruction.attackable:
-                update_log.append("pi")
-                continue
-            diag, res = attacker_update(item, nav, att, att_value, acfg, rng, att_opt)
-            update_log.append("pi")
-            if log_fn:
-                log_fn({"stage": "adversarial", "round": rnd, "iteration": j,
-                        "player": "att", "reward": sum(res.att_buffer.rewards),
-                        "success": int(res.att_buffer.success), **_round(diag)})
-        if params_digest(nav.params) != nav_digest:
-            raise RuntimeError("frozen navigator changed during attacker block")
-    return update_log
-
-
-def _round(diag):
-    return {k: (round(v, 6) if isinstance(v, float) else v)
-            for k, v in diag.items()}
+        log = log_fn and partial(_log, log_fn, {"stage": "adversarial", "round": rnd})
+        _navigator_updates(items, nav, nav_value, cfg, rng, cfg.n_eta, att, nav_opt, log)
+        _attacker_updates(items, nav, att, att_value, acfg, rng, cfg.n_pi, att_opt, log)
+    return (["eta"] * cfg.n_eta + ["pi"] * cfg.n_pi) * cfg.n_iter

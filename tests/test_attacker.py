@@ -12,7 +12,7 @@ from advnav import instruct as ins
 from advnav import world as w
 from advnav.attacker import Attacker, select_attack
 from advnav.diffcore import Tape, Tensor, backward
-from advnav.navigator import ModelDims, Navigator
+from advnav.navigator import ModelDims, Navigator, encode_tokens
 
 DIMS = ModelDims(d_w=8, d_v=6, d_p=5, d_h=7)
 
@@ -253,9 +253,11 @@ def test_navigator_and_attacker_share_one_encoder(vocab):
     nav = Navigator.create(np.random.default_rng(3), len(vocab), DIMS)
     nav.params.update({k: att.params[k] for k in shared})
     instr = instr_of(vocab, "go to the table in the kitchen with the sofa")
-    u_att = att.encode(None, instr).u.values
-    u_nav = nav.encode(None, instr.tokens, instr.target_set).u.values
-    assert np.array_equal(u_att, u_nav)
+    enc_nav = nav.encode(None, instr.tokens, instr.target_set)
+    assert np.array_equal(att.encode(None, instr).f_w.values, enc_nav.f_w.values)
+    # every row, not only the targets'
+    assert np.array_equal(encode_tokens(None, att.params, instr.tokens).values,
+                          enc_nav.u.values)
     # both creators draw the encoder first, in the same order
     fresh = Navigator.create(np.random.default_rng(2), len(vocab), DIMS)
     for k in shared:

@@ -542,3 +542,169 @@ def test_adversarial_train_pins_shared_encoding_digests():
         "3521ae2a158013b3e1513565521f1ff14176e1b6db1a2e1296dbeaf9180c572d"
     assert params_digest(att.params) == \
         "132dd94772be858760db79728010cf52c099c93a07851c326143325cf94f8e82"
+
+
+DIAG_KEYS = {"pg", "value", "entropy", "il", "aux", "grad_norm", "value_grad_norm",
+             "loss", "aborted"}
+
+
+def test_log_records_of_all_three_stages_share_one_schema():
+    items = [it for it in make_items() if it.instruction.attackable]
+    nav, att, nav_val, att_val = make_models()
+    cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
+    rng = np.random.default_rng(0)
+    pre_nav, pre_att, adv = [], [], []
+    tr.train_navigator(items, nav, nav_val, cfg, rng, iters=3, log_fn=pre_nav.append)
+    tr.train_attacker(items, nav, att, att_val, cfg, rng, iters=3, log_fn=pre_att.append)
+    update_log = tr.adversarial_train(items, nav, att, nav_val, att_val, cfg, rng,
+                                      log_fn=adv.append)
+    head = ["stage", "iteration", "player", "reward", "success"]
+    for recs, stage, player in ((pre_nav, "pretrain_nav", "nav"),
+                                (pre_att, "pretrain_att", "att")):
+        assert [(r["stage"], r["iteration"], r["player"]) for r in recs] == \
+            [(stage, it, player) for it in range(3)]
+        for r in recs:
+            assert list(r)[:5] == head and set(list(r)[5:]) == DIAG_KEYS
+    assert [(r["round"], r["iteration"]) for r in adv] == \
+        [(rnd, it) for rnd in range(2) for it in (0, 1, 2, 0, 1)]
+    assert [r["player"] for r in adv] == \
+        [{"eta": "nav", "pi": "att"}[u] for u in update_log]
+    for r in adv:
+        assert list(r)[:6] == ["stage", "round", *head[1:]] and r["stage"] == "adversarial"
+        assert set(list(r)[6:]) == DIAG_KEYS
+    for r in pre_nav + pre_att + adv:
+        assert type(r["success"]) is int and isinstance(r["reward"], float)
+        assert all(r[k] == round(r[k], 6) for k in DIAG_KEYS if isinstance(r[k], float))
+
+
+def test_training_refuses_a_frozen_player_that_changed(monkeypatch):
+    items = [it for it in make_items() if it.instruction.attackable]
+    nav, att, nav_val, att_val = make_models()
+    cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
+
+    def nudging(update, params):
+        def wrapped(*args, **kwargs):
+            out = update(*args, **kwargs)
+            params["embed"].values = params["embed"].values + np.float32(1e-3)
+            return out
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(tr, "navigator_update", nudging(tr.navigator_update, att.params))
+        with pytest.raises(RuntimeError, match="frozen attacker"):
+            tr.train_navigator(items, nav, nav_val, cfg, rng, iters=2, att=att)
+    with monkeypatch.context() as m:
+        m.setattr(tr, "attacker_update", nudging(tr.attacker_update, nav.params))
+        with pytest.raises(RuntimeError, match="frozen navigator"):
+            tr.train_attacker(items, nav, att, att_val, cfg, rng, iters=2)
+
+
+@pytest.mark.parametrize("spec", ["SHORT_EVAL", "LONG"])
+def test_validation_matches_rollouts_with_their_own_encodings(spec, monkeypatch):
+    # each item's attacked episode reuses its clean episode's encoder cells;
+    # results and episodes must equal two passes of rollouts that each
+    # encode afresh, bit for bit
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    bench = importlib.import_module("bench")
+    items = bench.make_items(getattr(bench, spec), 1)[:64]
+    models = bench.make_models(("nav", "att"))
+    nav, att, cfg = models.nav, models.att, tr.TrainConfig()
+    rollout, seen = tr.rollout_episode, []
+
+    def recording(*args, **kwargs):
+        seen.append(rollout(*args, **kwargs))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(tr, "rollout_episode", recording)
+        out = tr.validate_navigator(items, nav, cfg, att=att, seed=1)
+    clean = [rollout(item, nav, None, "eval", np.random.default_rng([1, i]), cfg)
+             for i, item in enumerate(items)]
+    attacked = [rollout(item, nav, att, "eval", np.random.default_rng([1, i]), cfg,
+                        record_trace=True) for i, item in enumerate(items)]
+    rows = [row for res in attacked for row in res.trace if "attacked_target" in row]
+    hits = sum(row["predicted_target"] == row["attacked_target"] for row in rows)
+    assert out == {"clean": sum(r.nav_buffer.success for r in clean) / len(items),
+                   "attacked": sum(r.nav_buffer.success for r in attacked) / len(items),
+                   "aux_acc": hits / len(rows)}
+    expect = [res for pair in zip(clean, attacked) for res in pair]
+    assert len(seen) == len(expect) == 2 * len(items)
+    for got, ref in zip(seen, expect):
+        assert got.nav_buffer.success == ref.nav_buffer.success
+        assert got.episode.trajectory == ref.episode.trajectory
+        assert len(got.trace) == len(ref.trace)
+        for r_got, r_ref in zip(got.trace, ref.trace):
+            assert r_got.keys() == r_ref.keys()
+            for key in r_got:
+                assert np.array_equal(r_got[key], r_ref[key]), key
+
+
+def test_attacked_validation_reuses_the_clean_episodes_cells(monkeypatch):
+    items = [it for it in make_items() if it.instruction.attackable][:3]
+    nav, att, _, _ = make_models()
+    counts = _count_encoder_work(monkeypatch, nav)
+    for item in items:
+        counts.update(cells=0, seqs=set())
+        tr.validate_navigator([item], nav, tr.TrainConfig(), att=att)
+        n, swapped = len(item.instruction.tokens), len(counts["seqs"]) - 1
+        assert swapped >= 1
+        # a fresh memo would re-run all 2n cells for the first swap
+        assert counts["cells"] <= 2 * n + (n + 1) * swapped
+
+
+class CountingRng:
+    """Delegates to a generator and records each ``random()`` draw."""
+
+    def __init__(self, rng, events):
+        self._rng, self._events = rng, events
+
+    def random(self):
+        self._events.append("draw")
+        return self._rng.random()
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_random_draws_only_choose_the_hardening_opponent(monkeypatch):
+    # A benchmark contract: a schedule stream that serves random() alone
+    # fixes which navigator updates are attacked, and nothing else
+    items = make_items(n_worlds=1, episodes=3)
+    nav, att, nav_val, att_val = make_models()
+    events, updates = [], []
+    nav_update, att_update = tr.navigator_update, tr.attacker_update
+
+    def nav_recording(*args, att=None, attack_fn=None, **kwargs):
+        kind = "random" if attack_fn else "learned" if att else "clean"
+        updates.append(("eta", kind))
+        events.append("eta")
+        out = nav_update(*args, att=att, attack_fn=attack_fn, **kwargs)
+        events.append("end")
+        return out
+
+    def att_recording(*args, **kwargs):
+        updates.append(("pi", None))
+        events.append("pi")
+        out = att_update(*args, **kwargs)
+        events.append("end")
+        return out
+
+    monkeypatch.setattr(tr, "navigator_update", nav_recording)
+    monkeypatch.setattr(tr, "attacker_update", att_recording)
+    cfg = tr.TrainConfig(n_eta=6, n_pi=2, n_iter=3, harden_random=0.5)
+    tr.adversarial_train(items, nav, att, nav_val, att_val, cfg,
+                         CountingRng(np.random.default_rng(1), events))
+    # one draw per navigator update, one more per attacked one, none for
+    # the attacker's updates or inside any update
+    expect = []
+    for player, kind in updates:
+        draws = 0 if player == "pi" else 1 if kind == "clean" else 2
+        expect += ["draw"] * draws + [player, "end"]
+    assert events == expect
+    assert {kind for _, kind in updates} == {None, "clean", "learned", "random"}
+    assert sum(player == "eta" for player, _ in updates) == cfg.n_eta * cfg.n_iter
+
+    events.clear()
+    tr.train_navigator(items, nav, nav_val, cfg, CountingRng(np.random.default_rng(2),
+                                                             events), iters=4)
+    assert events == ["eta", "end"] * 4
