@@ -14,8 +14,9 @@ scale, sum-reduce and cross-entropy-with-target.  Everything the models
 need (bilinear score columns and grids, weighted sums, row gathers, gated
 recurrences) is composed from these; see ``rowdot``/``attend``/
 ``gather_rows``/``lstm_cell``.  One composition skips them: an untaped
-``lstm_cell`` needs no backward, so it runs as one numpy forward instead
-of 25 primitive applications, with the same bits.
+``lstm_cell`` step needs no backward, so it runs as one numpy forward
+instead of 25 primitive applications, with the same bits, over gate
+weights its factory stacked once for the whole run of cells.
 
 Tensors are float32 by default and reductions accumulate in float64 before
 casting back.  Gradient checks should build float64 tensors instead, so
@@ -352,54 +353,68 @@ def affine(tape, x, w, b):
     return add(tape, matmul(tape, x, w), b)
 
 
-def lstm_cell(tape, x, h_prev, c_prev, params, prefix=""):
-    """One step of a standard gated recurrence.
+def lstm_cell(tape, params, prefix=""):
+    """A step ``step(x, h_prev, c_prev) -> (h, c)`` of a standard gated
+    recurrence, bound to ``params``; make one for a run of cells.
 
     ``params`` holds per-gate input/recurrent/bias tensors under keys
     ``{prefix}wx{i,f,g,o}``, ``{prefix}wh{i,f,g,o}``, ``{prefix}b{i,f,g,o}``.
+    A step reads them when it is made: an untaped step keeps the values it
+    stacked, so make a new step after any write to the parameters.
 
-    On a tape the cell is composed from primitives, 25 entries that
-    ``backward`` walks.  Untaped (``tape is None``) it needs no backward and
-    runs as one numpy forward over the four gates stacked on a leading axis;
-    ``x``, ``h_prev`` and ``c_prev`` must then be single rows.  Both paths
-    give the same bits: each gate's products are the same BLAS calls on the
-    same shapes, and every elementwise step is the same numpy operation.
+    On a tape each step is composed from primitives, 25 entries that
+    ``backward`` walks.  Untaped (``tape is None``) a step needs no backward:
+    the factory stacks the four gates on a leading axis once, and each step
+    runs as one numpy forward over them; ``x``, ``h_prev`` and ``c_prev``
+    must then be single rows.  Both paths give the same bits: each gate's
+    products are the same BLAS calls on the same shapes, and every
+    elementwise step is the same numpy operation.
     """
     if tape is None:
-        return _untaped_cell(x, h_prev, c_prev, params, prefix)
+        wx, wh, b = _stack_gates(params, prefix)
+        d, n = wx.shape[1:]
 
-    def gate(tag, act):
-        s = add(tape, add(tape, matmul(tape, x, params[prefix + "wx" + tag]),
-                          matmul(tape, h_prev, params[prefix + "wh" + tag])),
-                params[prefix + "b" + tag])
-        return act(tape, s)
+        def step(x, h_prev, c_prev):
+            for name, t, width in (("x", x, d), ("h_prev", h_prev, n), ("c_prev", c_prev, n)):
+                if t.values.shape != (1, width):
+                    raise EngineError(f"lstm_cell: {name} of shape {t.values.shape}, "
+                                      f"weights need (1, {width})")
+            s = (x.values @ wx + h_prev.values @ wh) + b
+            act = _sigmoid(s)
+            c = act[1] * c_prev.values + act[0] * np.tanh(s[2])
+            h = act[3] * np.tanh(c)
+            return Tensor._wrap(h), Tensor._wrap(c)
 
-    i = gate("i", sigmoid)
-    f = gate("f", sigmoid)
-    g = gate("g", tanh)
-    o = gate("o", sigmoid)
-    c = add(tape, multiply(tape, f, c_prev), multiply(tape, i, g))
-    h = multiply(tape, o, tanh(tape, c))
-    return h, c
+        return step
+    gates = [(params[prefix + "wx" + tag], params[prefix + "wh" + tag],
+              params[prefix + "b" + tag], act)
+             for tag, act in (("i", sigmoid), ("f", sigmoid), ("g", tanh), ("o", sigmoid))]
+
+    def step(x, h_prev, c_prev):
+        i, f, g, o = [act(tape, add(tape, add(tape, matmul(tape, x, wx),
+                                              matmul(tape, h_prev, wh)), b))
+                      for wx, wh, b, act in gates]
+        c = add(tape, multiply(tape, f, c_prev), multiply(tape, i, g))
+        h = multiply(tape, o, tanh(tape, c))
+        return h, c
+
+    return step
 
 
-def _untaped_cell(x, h_prev, c_prev, params, prefix):
+def _stack_gates(params, prefix):
     # gates on a leading axis, (4, d, h), (4, h, h) and (4, 1, h) in i, f,
     # g, o order, so each product runs one gemv per gate on the composed
     # cell's shapes; one wider (d, 4h) gemv blocks differently and gives
     # other bits at some widths
-    wx, wh, b = (np.array([params[prefix + kind + tag].values for tag in "ifgo"])
-                 for kind in ("wx", "wh", "b"))
-    d, n = wx.shape[1:]
-    for name, t, width in (("x", x, d), ("h_prev", h_prev, n), ("c_prev", c_prev, n)):
-        if t.values.shape != (1, width):
-            raise EngineError(f"lstm_cell: {name} of shape {t.values.shape}, "
-                              f"weights need (1, {width})")
-    s = (x.values @ wx + h_prev.values @ wh) + b
-    act = _sigmoid(s)
-    c = act[1] * c_prev.values + act[0] * np.tanh(s[2])
-    h = act[3] * np.tanh(c)
-    return Tensor._wrap(h), Tensor._wrap(c)
+    kinds = ("wx", "wh", "b")
+    rows = [[params[prefix + kind + tag].values for tag in "ifgo"] for kind in kinds]
+    d, n = rows[0][0].shape
+    for kind, row, shape in zip(kinds, rows, ((d, n), (n, n), (1, n))):
+        for tag, a in zip("ifgo", row):
+            if a.shape != shape:
+                raise EngineError(f"lstm_cell: {prefix}{kind}{tag} of shape {a.shape}, "
+                                  f"gates need {shape}")
+    return [np.array(row) for row in rows]
 
 
 def init_uniform(rng, shape, fan_in=None, dtype=np.float32):

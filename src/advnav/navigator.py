@@ -83,6 +83,8 @@ def encode_tokens(tape: Optional[Tape], params: dict, tokens,
                   memo: Optional[dict] = None) -> Tensor:
     """Embed ``tokens`` and run both recurrence directions -> (L, d_w) rows.
 
+    Each call makes one ``lstm_cell`` step per direction, so an untaped
+    encode stacks each direction's gates once, not once per cell.
     ``memo`` keeps each cell under (prefix, input h or None, token) and each
     embedding row under its token, so encodes sharing it run each distinct
     cell once: after a one-word swap at p, only the forward cells from p and
@@ -96,6 +98,7 @@ def encode_tokens(tape: Optional[Tape], params: dict, tokens,
     cols = []
     for prefix, order in (("enc_f.", range(len(tokens))),
                           ("enc_b.", range(len(tokens) - 1, -1, -1))):
+        step = dc.lstm_cell(tape, params, prefix)
         h, c, outs = None, zero, [None] * len(tokens)
         for i in order:
             t = tokens[i]
@@ -103,8 +106,7 @@ def encode_tokens(tape: Optional[Tape], params: dict, tokens,
             if key not in memo:
                 if t not in memo:
                     memo[t] = dc.embedding(tape, embed, (t,))
-                memo[key] = dc.lstm_cell(tape, memo[t], zero if h is None else h, c,
-                                         params, prefix=prefix)
+                memo[key] = step(memo[t], zero if h is None else h, c)
             h, c = memo[key]
             outs[i] = h
         cols.append(dc.concat(tape, outs, axis=0))
@@ -171,7 +173,7 @@ class Navigator:
         ``visual_attention``; the returned state still needs ``with_action``."""
         p = self.params
         x = dc.concat(tape, [f_v, state.prev_action], axis=1)
-        h, cell = dc.lstm_cell(tape, x, state.h_tilde, state.cell, p, prefix="dec.")
+        h, cell = dc.lstm_cell(tape, p, "dec.")(x, state.h_tilde, state.cell)
         alpha_w = dc.softmax(tape, dc.rowdot(
             tape, dc.matmul(tape, enc.u, p["w_u"]), h))
         f_w_att = dc.attend(tape, alpha_w, enc.u)

@@ -68,14 +68,24 @@ def sigmoid_forward(ctx, x):
 
 
 def legacy_untaped_cell(monkeypatch):
-    """Run untaped ``lstm_cell`` calls through the composed primitives for
-    one test: on a throwaway tape, which records them and changes no value."""
+    """Run untaped ``lstm_cell`` steps through the composed primitives for
+    one test: on a throwaway tape, which records them and changes no value.
+    Returns a dict whose ``"steps"`` counts the untaped steps routed so."""
     cell = dc.lstm_cell
+    routed = {"steps": 0}
 
-    def composed(tape, *args, **kwargs):
-        return cell(dc.Tape() if tape is None else tape, *args, **kwargs)
+    def composed(tape, params, prefix=""):
+        if tape is not None:
+            return cell(tape, params, prefix)
+
+        def step(x, h_prev, c_prev):
+            routed["steps"] += 1
+            return cell(dc.Tape(), params, prefix)(x, h_prev, c_prev)
+
+        return step
 
     monkeypatch.setattr(dc, "lstm_cell", composed)
+    return routed
 
 
 def legacy_numerics(monkeypatch):
@@ -98,9 +108,10 @@ def encode_tokens(tape, params, tokens, memo=None):
     def run(direction, prefix):
         h = dc.zeros((1, half), dtype=embed.dtype)
         c = dc.zeros((1, half), dtype=embed.dtype)
+        step = dc.lstm_cell(tape, params, prefix)
         outs = [None] * len(tokens)
         for i in direction:
-            h, c = dc.lstm_cell(tape, embs[i], h, c, params, prefix=prefix)
+            h, c = step(embs[i], h, c)
             outs[i] = h
         return outs
 

@@ -245,7 +245,7 @@ def test_lstm_cell_zero_params_halves_cell():
     c_prev = constant([[1.0, -2.0, 0.5, 4.0]])
     h_prev = constant(np.zeros((1, 4)))
     for tape in (None, Tape()):
-        h, c = lstm_cell(tape, x, h_prev, c_prev, params)
+        h, c = lstm_cell(tape, params)(x, h_prev, c_prev)
         np.testing.assert_allclose(c.values, 0.5 * c_prev.values, atol=1e-7)
         np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev.values), atol=1e-7)
 
@@ -254,8 +254,8 @@ def test_lstm_cell_all_zero_state_gives_zero_hidden():
     params = {k: Tensor(np.zeros_like(v.values))
               for k, v in init_lstm_params(np.random.default_rng(0), 3, 4).items()}
     for tape in (None, Tape()):
-        h, c = lstm_cell(tape, constant(np.zeros((1, 3))), constant(np.zeros((1, 4))),
-                         constant(np.zeros((1, 4))), params)
+        h, c = lstm_cell(tape, params)(constant(np.zeros((1, 3))), constant(np.zeros((1, 4))),
+                                       constant(np.zeros((1, 4))))
         np.testing.assert_array_equal(h.values, np.zeros((1, 4), dtype=np.float32))
 
 
@@ -268,7 +268,42 @@ def test_lstm_cell_rejects_misshapen_inputs(tape, bad):
     # numpy would broadcast a (1, 1) state across the row without a check
     args[bad] = constant(np.zeros((1, 1) if bad == "c_prev" else (1, 5)))
     with pytest.raises(EngineError, match="lstm_cell|matmul|multiply"):
-        lstm_cell(tape, args["x"], args["h_prev"], args["c_prev"], params)
+        lstm_cell(tape, params)(args["x"], args["h_prev"], args["c_prev"])
+
+
+@pytest.mark.parametrize("tape", [None, Tape()], ids=["untaped", "taped"])
+@pytest.mark.parametrize("key, shape", [("wxf", (3, 5)), ("bg", (1, 5))])
+def test_lstm_cell_rejects_malformed_gate_params(tape, key, shape):
+    params = init_lstm_params(np.random.default_rng(0), 3, 4)
+    params[key] = constant(np.zeros(shape))
+    x, h0, c0 = (constant(np.zeros((1, w))) for w in (3, 4, 4))
+    # untaped, the factory checks every gate tensor it stacks and names it
+    with pytest.raises(EngineError, match=key if tape is None else "add"):
+        lstm_cell(tape, params)(x, h0, c0)
+
+
+def test_taped_lstm_step_adds_25_entries_per_cell():
+    params = init_lstm_params(np.random.default_rng(0), 3, 4)
+    tape = Tape()
+    step = lstm_cell(tape, params)
+    assert len(tape) == 0
+    h, c = constant(np.zeros((1, 4))), constant(np.zeros((1, 4)))
+    for n in (1, 2, 3):
+        h, c = step(constant(np.ones((1, 3))), h, c)
+        assert len(tape) == 25 * n
+
+
+def test_untaped_lstm_step_keeps_the_parameters_it_was_made_with():
+    rng = np.random.default_rng(3)
+    params = init_lstm_params(rng, 3, 4)
+    x, h0, c0 = (constant(rng.normal(size=(1, w))) for w in (3, 4, 4))
+    step = lstm_cell(None, params)
+    before = step(x, h0, c0)[0].values
+    params["wxi"].values[...] += 1.0    # written in place after the step was made
+    assert np.array_equal(step(x, h0, c0)[0].values, before)
+    fresh = lstm_cell(None, params)(x, h0, c0)[0].values
+    assert not np.array_equal(fresh, before)
+    assert np.array_equal(fresh, lstm_cell(Tape(), params)(x, h0, c0)[0].values)
 
 
 # the model's encoder (32 -> 16) and decoder (64 -> 32) cells, and any width
@@ -286,8 +321,8 @@ def test_untaped_lstm_cell_gives_the_taped_bits(dims, dtype, scale, seed):
     params = init_lstm_params(rng, d, n, prefix="p.", dtype=dtype)
     x, h0, c0 = (Tensor(scale * rng.normal(size=(1, w)), dtype=dtype) for w in (d, n, n))
     with np.errstate(all="raise"):
-        h, c = lstm_cell(None, x, h0, c0, params, prefix="p.")
-        h_t, c_t = lstm_cell(Tape(), x, h0, c0, params, prefix="p.")
+        h, c = lstm_cell(None, params, prefix="p.")(x, h0, c0)
+        h_t, c_t = lstm_cell(Tape(), params, prefix="p.")(x, h0, c0)
     assert h.dtype == c.dtype == dtype
     assert np.array_equal(h.values, h_t.values) and np.array_equal(c.values, c_t.values)
 
@@ -302,7 +337,7 @@ def test_lstm_cell_gradients_match_finite_differences(seed):
 
     def run():
         t = Tape()
-        h, c = lstm_cell(t, x, h0, c0, params)
+        h, c = lstm_cell(t, params)(x, h0, c0)
         return t, sum_reduce(t, add(t, h, c))
 
     t, loss = run()

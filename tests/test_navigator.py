@@ -45,6 +45,24 @@ def test_swapping_identical_tokens_leaves_encoding_unchanged():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("length", [1, 2, 5, 40])
+def test_untaped_encode_makes_one_step_per_direction(length, monkeypatch):
+    # each step stacks its direction's gates once, whatever the length
+    nav, cell, made = make_nav(), dc.lstm_cell, []
+
+    def recording(tape, params, prefix=""):
+        made.append((tape, prefix))
+        return cell(tape, params, prefix)
+
+    monkeypatch.setattr(dc, "lstm_cell", recording)
+    tokens = tuple(i % VOCAB for i in range(length))
+    memo = {}
+    for _ in range(2):     # the second encode finds every cell in the memo
+        made.clear()
+        encode_tokens(None, nav.params, tokens, memo)
+        assert made == [(None, "enc_f."), (None, "enc_b.")]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_memo_shared_encodes_of_one_word_swaps_equal_fresh_encodes(dtype):
     # a rollout encodes the original tokens and then one-word swaps of them;

@@ -270,10 +270,16 @@ def _count_encoder_work(monkeypatch, nav):
     counts = {"cells": 0, "seqs": set(), "att_encodes": 0}
     cell, nav_encode, att_encode = dc.lstm_cell, Navigator.encode, Attacker.encode
 
-    def counting_cell(tape, x, h, c, params, prefix=""):
-        if prefix.startswith("enc_") and params is nav.params:
+    def counting_cell(tape, params, prefix=""):
+        step = cell(tape, params, prefix)
+        if not (prefix.startswith("enc_") and params is nav.params):
+            return step
+
+        def counting_step(*args):
             counts["cells"] += 1
-        return cell(tape, x, h, c, params, prefix=prefix)
+            return step(*args)
+
+        return counting_step
 
     def counting_nav_encode(self, tape, tokens, *args, **kwargs):
         counts["seqs"].add(tuple(tokens))
@@ -368,7 +374,13 @@ def test_greedy_validation_matches_the_composed_untaped_cell(spec, monkeypatch):
     bench = importlib.import_module("bench")
     items = bench.make_items(getattr(bench, spec), 1)[:64]
     models = bench.make_models(("nav", "att"))
-    rollout = tr.rollout_episode
+    rollout, sigmoid, fused = tr.rollout_episode, dc._sigmoid, {"steps": 0}
+
+    def counting_sigmoid(x):
+        # each fused step calls it once and nothing else untaped does, so
+        # this counts the steps however they reach the cell
+        fused["steps"] += 1
+        return sigmoid(x)
 
     def validate():
         rows = []
@@ -384,9 +396,14 @@ def test_greedy_validation_matches_the_composed_untaped_cell(spec, monkeypatch):
                                         att=models.att, seed=1)
         return out, rows
 
-    new = validate()
-    legacy_untaped_cell(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(dc, "_sigmoid", counting_sigmoid)
+        new = validate()
+    routed = legacy_untaped_cell(monkeypatch)
     old = validate()
+    # the swap must see every untaped cell, or the test compares the fused
+    # path with itself
+    assert routed["steps"] > 0 and routed["steps"] == fused["steps"]
     assert new[0] == old[0]
     assert len(new[1]) == len(old[1]) == 2 * len(items)
     for (succ_new, trace_new), (succ_old, trace_old) in zip(new[1], old[1]):
@@ -648,8 +665,39 @@ def test_attacked_validation_reuses_the_clean_episodes_cells(monkeypatch):
         tr.validate_navigator([item], nav, tr.TrainConfig(), att=att)
         n, swapped = len(item.instruction.tokens), len(counts["seqs"]) - 1
         assert swapped >= 1
-        # a fresh memo would re-run all 2n cells for the first swap
-        assert counts["cells"] <= 2 * n + (n + 1) * swapped
+        # each distinct swap re-runs n+1 cells; a fresh memo would re-run
+        # all 2n cells for the first one
+        assert counts["cells"] == 2 * n + (n + 1) * swapped
+
+
+def test_greedy_episodes_stack_gates_per_encode_and_decoder_step(monkeypatch):
+    # untaped, the gate weights are stacked once per encoder direction of an
+    # encode and once per decoder step, never once per encoder cell
+    items = [it for it in make_items() if it.instruction.attackable][:3]
+    nav, att, _, _ = make_models()
+    counts = _count_encoder_work(monkeypatch, nav)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, owner, attr in (("stackings", dc, "_stack_gates"),
+                              ("nav_encodes", Navigator, "encode"),
+                              ("decoder_steps", Navigator, "decode_with_visual")):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    for item in items:
+        for opponent in (None, att):
+            counts.update(cells=0, att_encodes=0, stackings=0, nav_encodes=0,
+                          decoder_steps=0)
+            tr.rollout_episode(item, nav, opponent, "eval", np.random.default_rng(0),
+                               tr.TrainConfig())
+            assert counts["att_encodes"] == (opponent is not None)
+            assert counts["stackings"] == (2 * counts["nav_encodes"]
+                                           + 2 * counts["att_encodes"]
+                                           + counts["decoder_steps"])
+            assert counts["cells"] > 2 * counts["nav_encodes"] >= 2
 
 
 class CountingRng:
