@@ -56,7 +56,6 @@ class NavState:
 @dataclass(frozen=True)
 class NavStepOutput:
     alpha_w: Tensor           # attention over instruction tokens
-    h_tilde: Tensor           # fused visual-and-instruction aware state
     p_n: Tensor               # action distribution over stop + neighbors
     p_c: Tensor               # attacked-word distribution over targets
 
@@ -183,7 +182,7 @@ class Navigator:
             tape, dc.matmul(tape, views, p["w_a"]), h_tilde))
         p_c = self.predict_attacked_word(tape, h_tilde, enc.f_w) \
             if enc.f_w is not None else None
-        out = NavStepOutput(alpha_w=alpha_w, h_tilde=h_tilde, p_n=p_n, p_c=p_c)
+        out = NavStepOutput(alpha_w=alpha_w, p_n=p_n, p_c=p_c)
         return out, NavState(h_tilde=h_tilde, cell=cell, prev_action=None)
 
     def predict_attacked_word(self, tape, h_tilde: Tensor, f_w: Tensor) -> Tensor:

@@ -108,11 +108,11 @@ class ValueNet:
 
 @dataclass
 class Transition:
-    action: object
+    action: int     # the navigator's action, or the attacker's grid cell j * L' + i
+                    # read row-major as ``p_flat`` is: either way it indexes ``dist``
     reward: float
     value: float = 0.0
     dist: Optional[Tensor] = None        # taped distribution for the learner
-    dist_index: int = 0
     value_out: Optional[Tensor] = None
     p_c: Optional[Tensor] = None
     attacked_target: Optional[int] = None
@@ -137,7 +137,9 @@ class RolloutBuffer:
 class UpdateEncodings:
     """The encoders' work one update's rollouts share, so that each encoder
     cell runs once per update.  Bound to the (navigator, attacker) tapes of
-    the first rollout: a tensor taped elsewhere would pass back no gradient."""
+    the first rollout: a tensor taped elsewhere would pass back no gradient.
+    The attacker's encoding is of one instruction, so a rollout attacking
+    another one is refused; the navigator's entries are keyed by tokens."""
     tapes: Optional[tuple] = None
     memo: dict = field(default_factory=dict)    # the navigator's encoder cells
     nav: dict = field(default_factory=dict)     # tokens -> EncodedInstruction
@@ -163,117 +165,105 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
                     encodings: Optional[UpdateEncodings] = None) -> RolloutResult:
     """Play one episode.
 
-    mode selects the learner: 'nav_learn' tapes and samples the navigator
-    (the attacker, when present, is frozen and greedy), 'nav_teacher' tapes
-    the navigator but follows and supervises the shortest-path teacher,
-    'att_learn' tapes and samples the attacker (navigator frozen and
-    greedy), and 'eval' freezes both; with no opponent it runs clean.
-    ``attack_fn(instruction, rng) -> AttackAction``, a valid cell (j, i) of
-    ``instruction.valid``, stands in for the learned attacker while the
-    navigator learns ('nav_learn', 'nav_teacher'): ``adversarial_train``
-    hardens against random substitutions this way.  'att_learn' needs
-    ``att`` and an attackable instruction, and refuses ``attack_fn``.
+    ``mode`` fixes each player's role once, at entry: 'nav_learn' tapes and
+    samples the navigator (the attacker, when present, is frozen and
+    greedy), 'nav_teacher' tapes the navigator but follows and supervises
+    the shortest-path teacher, 'att_learn' tapes and samples the attacker
+    (navigator frozen and greedy), and 'eval' freezes both; with no
+    opponent it runs clean.  Each step records the attacker's move, then
+    the navigator's, as each is made.  ``attack_fn(instruction, rng) ->
+    AttackAction``, a valid cell (j, i) of ``instruction.valid``, stands in
+    for the learned attacker while the navigator learns ('nav_learn',
+    'nav_teacher'): ``adversarial_train`` hardens against random
+    substitutions this way.
+    'att_learn' needs ``att`` and an attackable instruction, and refuses
+    ``attack_fn``; the sampling modes need their player's value net.
     Passing ``tape`` lets several rollouts share one update, and passing
     them one ``encodings`` lets them share the encoder's work too; without
     it each rollout gets its own.
     """
     graph, ep, instr = item.world, item.episode, item.instruction
-    nav_teacher = mode == "nav_teacher"
-    nav_learn = mode == "nav_learn" or nav_teacher
-    att_learn = mode == "att_learn"
-    if mode not in ("eval", "nav_learn", "nav_teacher", "att_learn"):
+    nav_pick = {"eval": "greedy", "att_learn": "greedy", "nav_learn": "sample",
+                "nav_teacher": "teacher"}.get(mode)
+    if nav_pick is None:
         raise ValueError(f"unknown rollout mode {mode!r}")
-    if att_learn and (att is None or attack_fn is not None or not instr.attackable):
+    att_learns = mode == "att_learn"
+    if att_learns and (att is None or attack_fn is not None or not instr.attackable):
         raise ValueError("'att_learn' needs the learned attacker, no attack_fn "
                          "and an attackable instruction")
+    if (nav_pick == "sample" and nav_value is None) or (att_learns and att_value is None):
+        raise ValueError(f"{mode!r} needs its player's value net")
     attacking = (att is not None or attack_fn is not None) and instr.attackable
 
-    if tape is None and (nav_learn or att_learn):
+    if tape is None and (nav_pick != "greedy" or att_learns):
         tape = Tape()
-    nav_tape = tape if nav_learn else None
-    att_tape = tape if att_learn else None
+    nav_tape = None if nav_pick == "greedy" else tape
+    att_tape = tape if att_learns else None
 
     encs = encodings or UpdateEncodings()
     encs.tapes = encs.tapes or (nav_tape, att_tape)
     if encs.tapes != (nav_tape, att_tape):     # tapes compare by identity
         raise ValueError("shared encodings were made on other tapes")
-    if attacking and att is not None and encs.att is None:
-        encs.att = att.encode(att_tape, instr)
+    if attacking and att is not None:
+        if encs.att is None:
+            encs.att = att.encode(att_tape, instr)
+        elif encs.att.instruction != instr:
+            raise ValueError("shared encodings were made for another instruction")
 
     nav_buf = RolloutBuffer()
     att_buf = RolloutBuffer() if attacking else None
     trace = []
     state = nav.initial_state()
-    t = 0
     while not ep.done:
         views = Tensor(graph.candidate_views(ep.current))
         _, f_v = nav.visual_attention(nav_tape, views, state)
         s_t = f_v.values.reshape(-1).copy()
 
-        action_att, att_dist, att_row = None, None, 0
+        action_att, tokens_t = None, instr.tokens
         if attacking:
             if attack_fn is not None:
                 action_att = attack_fn(instr, rng)
             else:
                 score = att.attack_score(att_tape, encs.att, s_t)
-                if att_learn:
-                    action_att = select_attack(score, "sample", rng)
-                    att_dist = score.p_flat
-                    att_row = action_att.target_index * instr.n_targets \
-                        + action_att.source_index
-                else:
-                    action_att = select_attack(score, "greedy")
-
-        tokens_t = instr.tokens if action_att is None \
-            else apply_perturbation(instr, action_att, t).tokens
+                action_att = select_attack(score, "sample" if att_learns else "greedy", rng)
+            j, i = action_att
+            att_tr = Transition(action=j * instr.n_targets + i, reward=0.0)
+            if att_learns:
+                att_tr.dist = score.p_flat
+                att_tr.value_out = att_value.forward(att_tape, s_t)
+                att_tr.value = att_tr.value_out.item()
+            att_buf.transitions.append(att_tr)
+            tokens_t = apply_perturbation(instr, action_att, ep.step_index).tokens
 
         if tokens_t not in encs.nav:
             encs.nav[tokens_t] = nav.encode(nav_tape, tokens_t, instr.target_set,
                                             memo=encs.memo)
         out, proto = nav.decode_with_visual(nav_tape, encs.nav[tokens_t], views,
                                             f_v, state)
-
         teacher = wd.teacher_action(ep)
-        if nav_teacher:
-            action_nav = teacher
-        elif nav_learn:
-            action_nav = sample_action(out.p_n, rng)
+        nav_tr = Transition(
+            action=teacher, reward=0.0, teacher=teacher, use_rl=nav_pick != "teacher",
+            attacked_target=None if action_att is None else action_att.target_index)
+        if nav_pick == "greedy":
+            nav_tr.action = greedy_action(out.p_n)
         else:
-            action_nav = greedy_action(out.p_n)
-        if action_nav != wd.STOP_ACTION:
-            state = nav.with_action(proto, views, action_nav)
-
-        ep_next = wd.step(ep, action_nav)
-        r_att = wd.attacker_reward(ep, ep_next)
-        r_nav = -r_att
-
-        nav_tr = Transition(action=action_nav, reward=r_nav,
-                            teacher=teacher, use_rl=not nav_teacher)
-        if nav_learn:
             nav_tr.dist = out.p_n
-            nav_tr.dist_index = action_nav
-            if not nav_teacher:
-                nav_tr.value_out = nav_value.forward(nav_tape, s_t)
-                nav_tr.value = nav_tr.value_out.item()
-        if action_att is not None:
-            nav_tr.attacked_target = action_att.target_index
-            if nav_learn:
-                nav_tr.p_c = out.p_c
+            nav_tr.p_c = None if action_att is None else out.p_c
+        if nav_pick == "sample":
+            nav_tr.action = sample_action(out.p_n, rng)
+            nav_tr.value_out = nav_value.forward(nav_tape, s_t)
+            nav_tr.value = nav_tr.value_out.item()
         nav_buf.transitions.append(nav_tr)
+        if nav_tr.action != wd.STOP_ACTION:
+            state = nav.with_action(proto, views, nav_tr.action)
 
-        if att_buf is not None:
-            att_tr = Transition(action=action_att, reward=r_att)
-            if att_learn:
-                att_tr.dist = att_dist
-                att_tr.dist_index = att_row
-                att_tr.value_out = att_value.forward(att_tape, s_t)
-                att_tr.value = att_tr.value_out.item()
-            att_buf.transitions.append(att_tr)
-
+        ep_next = wd.step(ep, nav_tr.action)
+        nav_tr.reward = -wd.attacker_reward(ep, ep_next)
+        if attacking:
+            att_tr.reward = -nav_tr.reward
         if record_trace:
-            trace.append(_trace_row(instr, t, action_att, out, action_nav, r_nav))
+            trace.append(_trace_row(instr, ep.step_index, action_att, out, nav_tr))
         ep = ep_next
-        t += 1
 
     success = wd.geodesic_distance(graph, ep.current, ep.goal) \
         <= graph.config.success_radius
@@ -284,8 +274,8 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
                          tape=tape, trace=trace)
 
 
-def _trace_row(instr, t, action_att, out, action_nav, r_nav):
-    row = {"t": t, "action": int(action_nav), "reward": r_nav,
+def _trace_row(instr, t, action_att, out, nav_tr):
+    row = {"t": t, "action": int(nav_tr.action), "reward": nav_tr.reward,
            "alpha_w": out.alpha_w.values.reshape(-1).copy()}
     if action_att is not None:
         row["attacked_position"] = instr.target_set[action_att.target_index]
@@ -330,7 +320,7 @@ def a2c_update(tape: Tape, buf: RolloutBuffer, returns, advantages,
         if tr.dist is None:
             continue
         if tr.use_rl:
-            pg = dc.scale(tape, dc.cross_entropy(tape, tr.dist, tr.dist_index),
+            pg = dc.scale(tape, dc.cross_entropy(tape, tr.dist, tr.action),
                           cfg.rl_weight * adv)
             terms.append(pg)
             diag["pg"] += pg.item()
@@ -437,8 +427,10 @@ def evaluate_success(items, nav, cfg, seed=0):
 
 def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None,
                      attack_fn=None):
-    """One mixed update: a teacher-forced rollout supplies the imitation
-    terms, a sampled rollout the policy-gradient terms, sharing tape and encodings."""
+    """One mixed update over a teacher-forced and a sampled rollout, sharing
+    tape and encodings.  Every navigator transition records the teacher's
+    action, so both rollouts add imitation terms, each at the states it
+    visits; only the sampled one adds policy-gradient and value terms."""
     tape = Tape()
     shared = dict(tape=tape, attack_fn=attack_fn, encodings=UpdateEncodings())
     res_il = rollout_episode(item, nav, att, "nav_teacher", rng, cfg, **shared)

@@ -179,7 +179,8 @@ def test_full_step_matches_straight_line_oracle(seed):
         np.testing.assert_allclose(alpha_v.values.reshape(-1), ref["alpha_v"], atol=1e-6)
         np.testing.assert_allclose(f_v.values, ref["f_v"], atol=1e-6)
         np.testing.assert_allclose(out.alpha_w.values.reshape(-1), ref["alpha_w"], atol=1e-6)
-        np.testing.assert_allclose(out.h_tilde.values, ref["h_tilde"], atol=1e-6)
+        np.testing.assert_allclose(new_state.h_tilde.values, ref["h_tilde"], atol=1e-6)
+        np.testing.assert_allclose(new_state.cell.values, ref["cell"], atol=1e-6)
         np.testing.assert_allclose(out.p_n.values, ref["p_n"].reshape(-1, 1), atol=1e-6)
         np.testing.assert_allclose(out.p_c.values, ref["p_c"].reshape(-1, 1), atol=1e-6)
         action = 1 + (step % (views.values.shape[0] - 1))

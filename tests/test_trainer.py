@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 from pathlib import Path
 
@@ -115,7 +116,7 @@ def _bandit_update(reward_for, cfg, steps=1, seed=0):
         p = dc.softmax(t, dc.tanh(t, logits))
         a = int(rng.integers(2))
         buf = tr.RolloutBuffer()
-        trn = tr.Transition(action=a, reward=reward_for(a), dist=p, dist_index=a)
+        trn = tr.Transition(action=a, reward=reward_for(a), dist=p)
         trn.value_out = vn.forward(t, np.ones(2))
         trn.value = trn.value_out.item()
         buf.transitions.append(trn)
@@ -134,7 +135,7 @@ def test_bandit_reinforces_rewarded_action():
     p = dc.softmax(t, dc.tanh(t, logits))
     before = p.values[0, 0]
     buf = tr.RolloutBuffer()
-    trn = tr.Transition(action=0, reward=1.0, dist=p, dist_index=0)
+    trn = tr.Transition(action=0, reward=1.0, dist=p)
     buf.transitions.append(trn)
     returns, advs = tr.compute_returns(buf, cfg.gamma)
     assert advs == [1.0]
@@ -159,7 +160,7 @@ def test_entropy_term_alone_moves_policy_toward_uniform():
         ents.append(entropy(p.values))
         buf = tr.RolloutBuffer()
         # zero advantage, zero value error: only the entropy term acts
-        trn = tr.Transition(action=0, reward=0.0, dist=p, dist_index=0, value=0.0)
+        trn = tr.Transition(action=0, reward=0.0, dist=p, value=0.0)
         buf.transitions.append(trn)
         returns, advs = tr.compute_returns(buf, cfg.gamma)
         tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
@@ -179,7 +180,7 @@ def test_value_regression_converges_on_constant_reward():
         t = Tape()
         p = dc.softmax(t, dc.tanh(t, logits))
         buf = tr.RolloutBuffer()
-        trn = tr.Transition(action=0, reward=1.0, dist=p, dist_index=0)
+        trn = tr.Transition(action=0, reward=1.0, dist=p)
         trn.value_out = vn.forward(t, s)
         trn.value = trn.value_out.item()
         buf.transitions.append(trn)
@@ -195,7 +196,7 @@ def test_nan_gradient_aborts_update():
     t = Tape()
     p = dc.softmax(t, logits)
     buf = tr.RolloutBuffer()
-    trn = tr.Transition(action=0, reward=1.0, dist=p, dist_index=0)
+    trn = tr.Transition(action=0, reward=1.0, dist=p)
     trn.value_out = vn.forward(t, np.ones(2))
     buf.transitions.append(trn)
     before = logits.values.copy()
@@ -241,6 +242,43 @@ def test_att_learn_needs_the_learned_attacker_and_no_attack_fn():
     with pytest.raises(ValueError, match="att_learn"):
         tr.attacker_update(item._replace(instruction=flat), nav, att, att_val,
                            cfg.for_attacker(), rng)
+
+
+@pytest.mark.parametrize("mode", ["nav_learn", "att_learn"])
+def test_learning_modes_refuse_a_missing_value_net_up_front(mode, monkeypatch):
+    item = next(it for it in make_items() if it.instruction.attackable)
+    nav, att, nav_val, att_val = make_models()
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded before refusing")
+
+    monkeypatch.setattr(Navigator, "encode", no_encode)
+    monkeypatch.setattr(Attacker, "encode", no_encode)
+    # the other player's value net does not stand in for the learner's
+    other = dict(att_value=att_val) if mode == "nav_learn" else dict(nav_value=nav_val)
+    for kwargs in ({}, other):
+        with pytest.raises(ValueError, match=mode):
+            tr.rollout_episode(item, nav, att, mode, np.random.default_rng(0),
+                               tr.TrainConfig(), **kwargs)
+
+
+def test_shared_encodings_refuse_another_instruction():
+    first, other = [it for it in make_items() if it.instruction.attackable][:2]
+    assert first.instruction != other.instruction
+    nav, att, _, _ = make_models()
+    cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
+    encodings = tr.UpdateEncodings()
+    tr.rollout_episode(first, nav, att, "eval", rng, cfg, encodings=encodings)
+    # the learned attacker would score the first item's attack grid
+    with pytest.raises(ValueError, match="another instruction"):
+        tr.rollout_episode(other, nav, att, "eval", rng, cfg, encodings=encodings)
+    # the navigator's entries are keyed by tokens, so other players may share them
+    tr.rollout_episode(other, nav, None, "eval", rng, cfg,
+                       attack_fn=tr._random_attack_fn, encodings=encodings)
+    # instructions compare by value: a rebuilt copy of the first one is its own
+    again = ins.make_instruction(first.instruction.tokens, ins.build_vocabulary())
+    tr.rollout_episode(first._replace(instruction=again), nav, att, "eval", rng, cfg,
+                       encodings=encodings)
 
 
 def test_shared_encodings_are_bound_to_their_tapes():
@@ -341,6 +379,26 @@ def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatc
     assert any(np.any(v != 0) for v in new.values())
     for k in old:
         assert max_rel_error(new[k], old[k]) < 1e-9, k
+
+
+def test_navigator_update_imitates_the_teacher_on_both_rollouts(monkeypatch):
+    item = next(it for it in make_items() if it.instruction.attackable)
+    nav, att, nav_val, _ = make_models()
+    rollout, seen = tr.rollout_episode, []
+
+    def recording(*args, **kwargs):
+        seen.append(rollout(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(tr, "rollout_episode", recording)
+    diag, _ = tr.navigator_update(item, nav, nav_val, tr.TrainConfig(),
+                                  np.random.default_rng(0), att=att)
+    teacher_forced, sampled = (
+        [float(-np.log(trn.dist.values.reshape(-1)[trn.teacher]))
+         for trn in res.nav_buffer.transitions] for res in seen)
+    assert all(trn.use_rl is False for trn in seen[0].nav_buffer.transitions)
+    assert diag["il"] == pytest.approx(sum(teacher_forced) + sum(sampled), rel=1e-5)
+    assert diag["il"] > sum(teacher_forced) * (1 + 1e-5)
 
 
 def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
@@ -756,3 +814,60 @@ def test_random_draws_only_choose_the_hardening_opponent(monkeypatch):
     tr.train_navigator(items, nav, nav_val, cfg, CountingRng(np.random.default_rng(2),
                                                              events), iters=4)
     assert events == ["eta", "end"] * 4
+
+
+def _rollout_fingerprint(res):
+    """Hash what a rollout records: tape length, each navigator transition's
+    action, reward, teacher, attacked target and which taped outputs it
+    carries, the attacker's rewards, and the trace rows' keys and bytes."""
+    h = hashlib.sha256(repr(None if res.tape is None else len(res.tape)).encode())
+    for trn in res.nav_buffer.transitions:
+        h.update(repr((trn.action, trn.reward, trn.teacher, trn.attacked_target,
+                       trn.dist is not None, trn.value_out is not None,
+                       trn.p_c is not None)).encode())
+    if res.att_buffer is not None:
+        h.update(repr([(trn.reward, trn.dist is not None, trn.value_out is not None)
+                       for trn in res.att_buffer.transitions]).encode())
+    for row in res.trace:
+        for key, value in row.items():
+            value = np.asarray(value)
+            h.update(repr((key, value.dtype.str, value.shape)).encode())
+            h.update(value.tobytes())
+    return h.hexdigest()[:16]
+
+
+ROLLOUT_FINGERPRINTS = {
+    ("eval", "clean"): ["2abb268d4f2022a0", "b61fc8798cdc8d5e", "3d1e5b0e3aa2d6f7"],
+    ("eval", "learned"): ["75c6c092c5cc966e", "657f4c909683dfaa", "0b6e04f202bae453"],
+    ("eval", "random"): ["c61efea3e88a272e", "1e85beeef063a1c1", "63345489e896539a"],
+    ("nav_learn", "clean"): ["18a6cbddc8ab873e", "2623e18c398f299c", "be44b21b1b830487"],
+    ("nav_learn", "learned"): ["be5794a4b55084ae", "6f64fe62763a0bb7", "37b056a76aa2c695"],
+    ("nav_learn", "random"): ["d2df6112ca508419", "60c292a5bcd72a49", "cfb03b3d333b5f2a"],
+    ("nav_teacher", "clean"): ["aa0c53c4acd50b5d", "a2650a5fe21cba5a", "0033a7e36cd8efc1"],
+    ("nav_teacher", "learned"): ["24523ae456677b41", "e1f672a3b0868f53", "a0d46796467cbb20"],
+    ("nav_teacher", "random"): ["18a4c74ba6d7b633", "3df4fbeb28eee3f5", "11f6e349d3bf3523"],
+    ("att_learn", "learned"): ["7aea27b3d1433a44", "a0f3195b8b8fa7d6", "06b0aafa9de087ec"],
+}
+
+
+@pytest.mark.parametrize("mode,opponent", sorted(ROLLOUT_FINGERPRINTS))
+def test_rollouts_reproduce_pinned_fingerprints(mode, opponent):
+    # every mode with every opponent it accepts, pinned (numpy 2.4.6, OpenBLAS,
+    # x86-64) before the step loop was reorganised: the rollouts must record
+    # the same moves, bit for bit
+    items = make_items()[:3]
+    nav, att, nav_val, att_val = make_models()
+    values = {"nav_learn": dict(nav_value=nav_val), "att_learn": dict(att_value=att_val)}
+    digests = []
+    for i, item in enumerate(items):
+        res = tr.rollout_episode(
+            item, nav, att if opponent == "learned" else None, mode,
+            np.random.default_rng([3, i]), tr.TrainConfig(),
+            attack_fn=tr._random_attack_fn if opponent == "random" else None,
+            record_trace=True, **values.get(mode, {}))
+        digests.append(_rollout_fingerprint(res))
+        if mode == "att_learn":
+            n = item.instruction.n_targets
+            assert [trn.action // n for trn in res.att_buffer.transitions] == \
+                [trn.attacked_target for trn in res.nav_buffer.transitions]
+    assert digests == ROLLOUT_FINGERPRINTS[mode, opponent]
