@@ -72,8 +72,6 @@ class Attacker:
         ``visual_state`` is the navigator's attended visual feature, consumed
         as a constant: no gradients cross between the players.
         """
-        if not enc.instruction.attackable:
-            raise ValueError("instruction has no valid substitutions")
         p, valid = self.params, enc.instruction.valid
         f_v = Tensor(np.asarray(visual_state).reshape(1, -1), dtype=self.dtype)
         ones = Tensor(np.ones((1, enc.instruction.n_targets)), dtype=self.dtype)
@@ -91,8 +89,6 @@ class Attacker:
 def select_attack(score: AttackScore, mode: str, rng=None) -> AttackAction:
     """Pick a grid cell (j, i): argmax for greedy (ties to the lowest flat
     grid index), a draw from the joint distribution for sampling."""
-    if score.p_flat.values.size == 0:
-        raise ValueError("attack score has no valid cells")
     if mode == "greedy":
         row = greedy_action(score.p_flat)
     elif mode == "sample":

@@ -3,12 +3,15 @@
 Instructions are templated walks along an episode's ground-truth path:
 direction and filler words interleaved with the object/location landmark
 words of the nodes being passed, ending with the goal's landmarks.  The
-attackable positions (the target set) are all the object and location
+positions open to attack (the target set) are all the object and location
 tokens, wherever they stand.  A substitution replaces target j's word with
 another target's word of the same instruction, so every attack is a cell
 (j, i) of the L'×L' target grid, and ``Instruction.valid`` marks the cells
-that change the word.  A perturbation swaps one target token of the
-original sequence; perturbations never compound across timesteps.
+that change the word.  Every instruction has at least two targets and a
+valid cell in every grid row, so every step can be attacked; generated ones
+always do, as the goal names an object and a location, two different words.
+A perturbation swaps one target token of the original sequence;
+perturbations never compound across timesteps.
 """
 
 from __future__ import annotations
@@ -82,21 +85,25 @@ class AttackAction(NamedTuple):
 
 @dataclass(frozen=True)
 class Instruction:
+    """Construction raises ``ValueError`` unless there are at least two
+    targets and ``valid`` is an L'×L' grid with a valid cell in every row,
+    so every target can be attacked; ``valid`` is kept as a read-only copy."""
     tokens: tuple
     target_set: tuple                     # positions of object/location tokens
     # (L', L') read-only bool: cell (j, i) may put target i's word at target j
     valid: np.ndarray = field(compare=False)
 
+    def __post_init__(self):
+        n, valid = self.n_targets, np.array(self.valid, dtype=bool)
+        if n < 2 or valid.shape != (n, n) or not valid.any(axis=1).all():
+            raise ValueError(f"{n} targets and a {valid.shape} grid: an instruction needs "
+                             "two or more targets and an L'×L' grid with no empty row")
+        valid.flags.writeable = False
+        object.__setattr__(self, "valid", valid)
+
     @property
     def n_targets(self) -> int:
         return len(self.target_set)
-
-    @property
-    def attackable(self) -> bool:
-        """At least two targets, and every grid row has a valid cell.  For
-        built instructions this is "any row has one": two differing target
-        words leave every target another word to take."""
-        return self.n_targets >= 2 and bool(self.valid.any(axis=1).all())
 
     def valid_actions(self):
         """Valid grid cells in row-major order."""
@@ -125,14 +132,14 @@ def build_target_set(tokens, vocab: Vocabulary) -> tuple:
 def make_instruction(tokens, vocab: Vocabulary) -> Instruction:
     """Cell (j, i) of ``valid`` is true when target i's word differs from
     target j's and i is the first target carrying that word, so every
-    substitution changes the word and each word is offered once per row."""
+    substitution changes the word and each word is offered once per row.
+    Raises ``ValueError`` unless the targets carry two different words."""
     tokens = tuple(tokens)
     targets = build_target_set(tokens, vocab)
     words = np.array([tokens[p] for p in targets], dtype=np.int64)
     first = np.zeros(len(targets), dtype=bool)
     first[np.unique(words, return_index=True)[1]] = True
     valid = (words[None, :] != words[:, None]) & first[None, :]
-    valid.flags.writeable = False
     return Instruction(tokens=tokens, target_set=targets, valid=valid)
 
 
@@ -189,8 +196,8 @@ def generate_instruction(world: WorldGraph, ep: Episode, seed: int) -> Instructi
     """Templated instruction walking the ground-truth path, deterministic per seed.
 
     One landmark of each intermediate node is mentioned in path order and the
-    goal contributes both of its landmarks, so any episode yields at least
-    two attackable words.
+    goal contributes both of its landmarks, last: an object word and a
+    location word differ, so every target has a substitute.
     """
     if not ep.ground_truth_path:
         raise ValueError("episode has an empty ground-truth path")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -111,9 +111,8 @@ class Transition:
     action: int     # the navigator's action, or the attacker's grid cell j * L' + i
                     # read row-major as ``p_flat`` is: either way it indexes ``dist``
     reward: float
-    value: float = 0.0
     dist: Optional[Tensor] = None        # taped distribution for the learner
-    value_out: Optional[Tensor] = None
+    value_out: Optional[Tensor] = None   # the critic's estimate, when one ran
     p_c: Optional[Tensor] = None
     attacked_target: Optional[int] = None
     teacher: Optional[int] = None
@@ -155,29 +154,28 @@ class RolloutResult:
     trace: list
 
 
-def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
+def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], mode: str,
                     rng, cfg: TrainConfig,
                     nav_value: Optional[ValueNet] = None,
                     att_value: Optional[ValueNet] = None,
-                    attack_fn: Optional[Callable] = None,
                     record_trace: bool = False,
                     tape: Optional[Tape] = None,
                     encodings: Optional[UpdateEncodings] = None) -> RolloutResult:
     """Play one episode.
 
+    ``att`` is the opponent, and every step is attacked exactly when there
+    is one: ``None`` runs clean, the learned ``Attacker`` scores the target
+    grid, and a function ``f(instruction, rng) -> AttackAction`` returns a
+    valid cell (j, i) of ``instruction.valid`` (``adversarial_train``
+    hardens against random substitutions this way).
     ``mode`` fixes each player's role once, at entry: 'nav_learn' tapes and
-    samples the navigator (the attacker, when present, is frozen and
-    greedy), 'nav_teacher' tapes the navigator but follows and supervises
-    the shortest-path teacher, 'att_learn' tapes and samples the attacker
-    (navigator frozen and greedy), and 'eval' freezes both; with no
-    opponent it runs clean.  Each step records the attacker's move, then
-    the navigator's, as each is made.  ``attack_fn(instruction, rng) ->
-    AttackAction``, a valid cell (j, i) of ``instruction.valid``, stands in
-    for the learned attacker while the navigator learns ('nav_learn',
-    'nav_teacher'): ``adversarial_train`` hardens against random
-    substitutions this way.
-    'att_learn' needs ``att`` and an attackable instruction, and refuses
-    ``attack_fn``; the sampling modes need their player's value net.
+    samples the navigator (the opponent is frozen and greedy),
+    'nav_teacher' tapes the navigator but follows and supervises the
+    shortest-path teacher, 'att_learn' tapes and samples the learned
+    attacker (navigator frozen and greedy), and 'eval' freezes both.  Each
+    step records the attacker's move, then the navigator's, as each is
+    made.  'att_learn' refuses any opponent but an ``Attacker``, and the
+    sampling modes need their player's value net.
     Passing ``tape`` lets several rollouts share one update, and passing
     them one ``encodings`` lets them share the encoder's work too; without
     it each rollout gets its own.
@@ -188,12 +186,12 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     if nav_pick is None:
         raise ValueError(f"unknown rollout mode {mode!r}")
     att_learns = mode == "att_learn"
-    if att_learns and (att is None or attack_fn is not None or not instr.attackable):
-        raise ValueError("'att_learn' needs the learned attacker, no attack_fn "
-                         "and an attackable instruction")
+    learned = isinstance(att, Attacker)
+    if att_learns and not learned:
+        raise ValueError("'att_learn' needs the learned attacker")
     if (nav_pick == "sample" and nav_value is None) or (att_learns and att_value is None):
         raise ValueError(f"{mode!r} needs its player's value net")
-    attacking = (att is not None or attack_fn is not None) and instr.attackable
+    attacking = att is not None
 
     if tape is None and (nav_pick != "greedy" or att_learns):
         tape = Tape()
@@ -204,7 +202,7 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
     encs.tapes = encs.tapes or (nav_tape, att_tape)
     if encs.tapes != (nav_tape, att_tape):     # tapes compare by identity
         raise ValueError("shared encodings were made on other tapes")
-    if attacking and att is not None:
+    if learned:
         if encs.att is None:
             encs.att = att.encode(att_tape, instr)
         elif encs.att.instruction != instr:
@@ -221,17 +219,16 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
 
         action_att, tokens_t = None, instr.tokens
         if attacking:
-            if attack_fn is not None:
-                action_att = attack_fn(instr, rng)
-            else:
+            if learned:
                 score = att.attack_score(att_tape, encs.att, s_t)
                 action_att = select_attack(score, "sample" if att_learns else "greedy", rng)
+            else:
+                action_att = att(instr, rng)
             j, i = action_att
             att_tr = Transition(action=j * instr.n_targets + i, reward=0.0)
             if att_learns:
                 att_tr.dist = score.p_flat
                 att_tr.value_out = att_value.forward(att_tape, s_t)
-                att_tr.value = att_tr.value_out.item()
             att_buf.transitions.append(att_tr)
             tokens_t = apply_perturbation(instr, action_att, ep.step_index).tokens
 
@@ -252,7 +249,6 @@ def rollout_episode(item, nav: Navigator, att: Optional[Attacker], mode: str,
         if nav_pick == "sample":
             nav_tr.action = sample_action(out.p_n, rng)
             nav_tr.value_out = nav_value.forward(nav_tape, s_t)
-            nav_tr.value = nav_tr.value_out.item()
         nav_buf.transitions.append(nav_tr)
         if nav_tr.action != wd.STOP_ACTION:
             state = nav.with_action(proto, views, nav_tr.action)
@@ -281,9 +277,8 @@ def _trace_row(instr, t, action_att, out, nav_tr):
         row["attacked_position"] = instr.target_set[action_att.target_index]
         row["attacked_target"] = action_att.target_index
         row["substitute_token"] = instr.tokens[instr.target_set[action_att.source_index]]
-    if out.p_c is not None:
-        row["p_c"] = out.p_c.values.reshape(-1).copy()
-        row["predicted_target"] = int(np.argmax(row["p_c"]))
+    row["p_c"] = out.p_c.values.reshape(-1).copy()
+    row["predicted_target"] = int(np.argmax(row["p_c"]))
     return row
 
 
@@ -292,7 +287,7 @@ def _trace_row(instr, t, action_att, out, nav_tr):
 
 def compute_returns(buf: RolloutBuffer, gamma: float):
     """Discounted returns of a terminated episode (no bootstrap term), plus
-    advantages against the stored value estimates."""
+    advantages against the critic's estimates (0 where none ran)."""
     if not buf.transitions:
         raise ValueError("empty rollout buffer")
     rewards = buf.rewards
@@ -300,7 +295,8 @@ def compute_returns(buf: RolloutBuffer, gamma: float):
     returns[-1] = rewards[-1]
     for t in range(len(rewards) - 2, -1, -1):
         returns[t] = rewards[t] + gamma * returns[t + 1]
-    advantages = [r - tr.value for r, tr in zip(returns, buf.transitions)]
+    advantages = [r - (0.0 if tr.value_out is None else tr.value_out.item())
+                  for r, tr in zip(returns, buf.transitions)]
     return returns, advantages
 
 
@@ -391,7 +387,7 @@ def _pick(items, rng):
     return items[int(rng.integers(len(items)))]
 
 
-def _random_attack_fn(instruction, rng):
+def _random_attack(instruction, rng):
     acts = instruction.valid_actions()
     return acts[int(rng.integers(len(acts)))]
 
@@ -399,7 +395,10 @@ def _random_attack_fn(instruction, rng):
 def validate_navigator(items, nav, cfg, att=None, seed=0):
     """Clean SR and, with ``att``, attacked SR and attacked-word prediction
     accuracy.  Each item's attacked episode follows its clean one and shares
-    its ``UpdateEncodings``, so it reuses the clean episode's encoder cells."""
+    its ``UpdateEncodings``, so it reuses the clean episode's encoder cells.
+    Raises ``ValueError`` on an empty item list."""
+    if not items:
+        raise ValueError("cannot validate on no items")
     opponents = (None,) if att is None else (None, att)
     succ, hits, total = [0, 0], 0, 0
     for i, item in enumerate(items):
@@ -409,14 +408,11 @@ def validate_navigator(items, nav, cfg, att=None, seed=0):
                                   np.random.default_rng([seed, i]), cfg,
                                   record_trace=opponent is not None, encodings=encs)
             succ[k] += res.nav_buffer.success
-            for row in res.trace:
-                if "attacked_target" in row:
-                    total += 1
-                    hits += row["predicted_target"] == row["attacked_target"]
-    n = max(len(items), 1)
-    out = {"clean": succ[0] / n}
+            total += len(res.trace)
+            hits += sum(r["predicted_target"] == r["attacked_target"] for r in res.trace)
+    out = {"clean": succ[0] / len(items)}
     if att is not None:
-        out.update(attacked=succ[1] / n, aux_acc=hits / max(total, 1))
+        out.update(attacked=succ[1] / len(items), aux_acc=hits / total)
     return out
 
 
@@ -425,14 +421,14 @@ def evaluate_success(items, nav, cfg, seed=0):
     return validate_navigator(items, nav, cfg, seed=seed)["clean"]
 
 
-def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None,
-                     attack_fn=None):
+def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None):
     """One mixed update over a teacher-forced and a sampled rollout, sharing
-    tape and encodings.  Every navigator transition records the teacher's
-    action, so both rollouts add imitation terms, each at the states it
-    visits; only the sampled one adds policy-gradient and value terms."""
+    tape, encodings and the opponent ``att`` (as in ``rollout_episode``).
+    Every navigator transition records the teacher's action, so both
+    rollouts add imitation terms, each at the states it visits; only the
+    sampled one adds policy-gradient and value terms."""
     tape = Tape()
-    shared = dict(tape=tape, attack_fn=attack_fn, encodings=UpdateEncodings())
+    shared = dict(tape=tape, encodings=UpdateEncodings())
     res_il = rollout_episode(item, nav, att, "nav_teacher", rng, cfg, **shared)
     res_rl = rollout_episode(item, nav, att, "nav_learn", rng, cfg,
                              nav_value=nav_value, **shared)
@@ -476,14 +472,11 @@ def _navigator_updates(items, nav, nav_value, cfg, rng, iters, att, opt_state, l
         # alternate attacked and clean episodes so hardening does not
         # crowd out clean competence; a slice of the attacked episodes
         # uses random substitutions to vary the attack distribution
-        opponent, attack_fn = None, None
+        opponent = None
         if att is not None and rng.random() < cfg.attacked_fraction:
-            if rng.random() < cfg.harden_random:
-                attack_fn = _random_attack_fn
-            else:
-                opponent = att
+            opponent = _random_attack if rng.random() < cfg.harden_random else att
         diag, res = navigator_update(item, nav, nav_value, cfg, rng, att=opponent,
-                                     attack_fn=attack_fn, opt_state=opt_state)
+                                     opt_state=opt_state)
         if log:
             log(it, "nav", res.nav_buffer, diag)
     if att is not None and params_digest(att.params) != att_digest:
@@ -494,8 +487,6 @@ def _attacker_updates(items, nav, att, att_value, acfg, rng, iters, opt_state, l
     nav_digest = params_digest(nav.params)
     for it in range(iters):
         item = _pick(items, rng)
-        if not item.instruction.attackable:
-            continue
         diag, res = attacker_update(item, nav, att, att_value, acfg, rng, opt_state)
         if log:
             log(it, "att", res.att_buffer, diag)

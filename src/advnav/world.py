@@ -58,9 +58,14 @@ class WorldConfig:
     j_max: int = 5                 # max neighbors per node
 
     def __post_init__(self):
-        # a spanning tree on n >= 3 nodes has a node of degree >= 2
-        if self.j_max < 2:
-            raise ValueError(f"j_max must be at least 2, got {self.j_max}")
+        # j_max: a spanning tree on n >= 3 nodes has a node of degree >= 2
+        for name, lo, hi in (("j_max", 2, np.inf), ("d_v", 1, np.inf), ("horizon", 1, np.inf),
+                             ("edge_density", 0.0, 1.0), ("success_radius", 0.0, np.inf),
+                             ("feature_noise", 0.0, np.inf)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {getattr(self, name)}")
+        if not self.box > 0:
+            raise ValueError(f"box must be positive, got {self.box}")
 
 
 @dataclass

@@ -195,8 +195,6 @@ def attacker_encode(self, tape, instr):
 
 def attack_score(self, tape, enc, visual_state):
     instr = enc.instruction
-    if not instr.attackable:
-        raise ValueError("instruction has no valid substitutions")
     p = self.params
     f_v = Tensor(np.asarray(visual_state).reshape(1, -1), dtype=self.dtype)
 

@@ -96,17 +96,15 @@ def test_joint_distribution_is_valid_and_masked_cells_zero(vocab):
 
 
 def test_non_attackable_instruction_rejected(vocab):
-    att = make_attacker(0)
+    # an instruction with a target that has no substitute would leave that
+    # grid row all masked; it is refused when built, before any score
     base = instr_of(vocab, "go to the table in the kitchen with the sofa")
-    # a hand-built empty grid row would leave that row all masked
     valid = base.valid.copy()
     valid[1] = False
-    empty_row = ins.Instruction(tokens=base.tokens, target_set=base.target_set, valid=valid)
-    for instr in (instr_of(vocab, "walk past the table then the table"), empty_row):
-        assert not instr.attackable
-        enc = att.encode(None, instr)
-        with pytest.raises(ValueError, match="no valid substitutions"):
-            att.attack_score(None, enc, np.zeros(DIMS.d_v))
+    with pytest.raises(ValueError, match="no empty row"):
+        ins.Instruction(tokens=base.tokens, target_set=base.target_set, valid=valid)
+    with pytest.raises(ValueError, match="no empty row"):
+        instr_of(vocab, "walk past the table then the table")
 
 
 @pytest.mark.parametrize("n_targets", [2, 3, 8])
@@ -114,7 +112,7 @@ def test_taped_attack_score_is_ten_ops(n_targets, vocab):
     att = make_attacker(4)
     words = [vocab.word(i) for i in range(len(vocab.words)) if vocab.is_landmark(i)]
     instr = instr_of(vocab, " ".join(["go to the " + x for x in words[:n_targets]]))
-    assert instr.n_targets == n_targets and instr.attackable
+    assert instr.n_targets == n_targets
     tape = Tape()
     enc = att.encode(tape, instr)
     before = len(tape)

@@ -139,7 +139,8 @@ def test_grid_matches_the_candidate_lists_on_bench_items(spec, monkeypatch):
             instr = item.instruction
             cands = legacy_ops.build_candidate_sets(instr.tokens, instr.target_set)
             assert instr.valid_actions() == legacy_ops.candidate_cells(instr)
-            assert instr.attackable == (instr.n_targets >= 2 and all(cands))
+            # every bench item was built, so no legacy list may be empty
+            assert instr.n_targets >= 2 and all(cands)
 
 
 def test_generate_instruction_deterministic(setup):
@@ -174,11 +175,37 @@ def test_generated_landmarks_in_path_order(vocab, setup):
 
 
 def test_short_path_still_attackable(setup):
+    # a start-at-goal episode names only the goal's two landmarks, which
+    # differ, so each target has the other as its substitute
     g, _ = setup
     ep = w.make_episode(g, 0, 0)
     instr = ins.generate_instruction(g, ep, seed=0)
-    assert instr.attackable
     assert instr.n_targets == 2
+    assert instr.valid.tolist() == [[False, True], [True, False]]
+
+
+def test_instruction_refuses_too_few_targets_or_a_misshapen_grid(vocab):
+    # an empty grid row is refused too (test_non_attackable_instruction_rejected)
+    base = ins.make_instruction(toks(vocab, "walk past the table into the kitchen"), vocab)
+    for text in ("walk past the then go forward", "walk past the table"):
+        with pytest.raises(ValueError, match="^[01] targets"):
+            ins.make_instruction(toks(vocab, text), vocab)
+    with pytest.raises(ValueError, match="^1 targets"):
+        ins.Instruction(tokens=base.tokens, target_set=base.target_set[:1],
+                        valid=np.ones((1, 1), dtype=bool))
+    for valid in (np.ones((2, 3), dtype=bool), np.ones(2, dtype=bool), None):
+        with pytest.raises(ValueError, match="L'×L' grid"):
+            ins.Instruction(tokens=base.tokens, target_set=base.target_set, valid=valid)
+
+
+def test_directly_built_grid_is_a_read_only_copy(vocab):
+    base = ins.make_instruction(toks(vocab, "walk past the table into the kitchen"), vocab)
+    valid = base.valid.copy()
+    instr = ins.Instruction(tokens=base.tokens, target_set=base.target_set, valid=valid)
+    with pytest.raises(ValueError):
+        instr.valid[0, 1] = False
+    valid[0, 1] = False       # the caller's array stays writable and apart
+    assert instr.valid.tolist() == [[False, True], [True, False]]
 
 
 def test_corpus_is_pure_function_of_inputs(setup):

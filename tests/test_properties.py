@@ -3,12 +3,16 @@
 Every config either raises ``ValueError`` or yields a world that keeps its
 promises: connected, degree at most ``j_max``, nodes at least 2 m apart,
 a teacher that walks to the goal within the horizon, and instructions whose
-every valid attack swaps exactly one landmark word for another.  Any
-instruction built from tokens has a valid cell in every target-grid row as
-soon as one row has one, the invariant the attacker's masked softmax relies
-on, and its grid lists the same attacks, in the same order, as the earlier
-per-target candidate lists.  The examples are derandomized, so each run
-checks the same set.
+every valid attack swaps exactly one landmark word for another.
+
+Every instruction can be attacked at every step: it has at least two targets
+and a valid cell in every target-grid row, the invariant the attacker's
+masked softmax and the trainer rely on.  ``make_instruction`` raises exactly
+when the earlier per-target candidate lists leave a row empty or there are
+fewer than two targets; otherwise its grid lists the same attacks, in the
+same order.  Every generated instruction is built, since it ends with the
+goal's object and location, two different words.  The examples are
+derandomized, so each run checks the same set.
 """
 
 import numpy as np
@@ -94,6 +98,21 @@ def test_world_and_instruction_keep_their_config_or_raise(kw, data):
         _check_teacher(g, ep)
         instr = ins.generate_instruction(g, ep, seed=data.draw(st.integers(0, 2 ** 16)))
         _check_attacks(instr)
+        assert tuple(instr.tokens[p] for p in instr.target_set[-2:]) == \
+            tuple(ins.build_vocabulary().id_of(x) for x in g.landmarks[ep.goal])
+
+
+def _built_or_refused(tokens):
+    """The instruction ``make_instruction`` builds from ``tokens``, or None
+    when it refuses them, with the earlier candidate lists of the tokens."""
+    vocab = ins.build_vocabulary()
+    cands = legacy_ops.build_candidate_sets(tokens, ins.build_target_set(tokens, vocab))
+    try:
+        instr = ins.make_instruction(tokens, vocab)
+    except ValueError:
+        instr = None
+    assert (instr is None) == (len(cands) < 2 or not all(cands))
+    return instr, cands
 
 
 @PROPERTY_SETTINGS
@@ -101,9 +120,10 @@ def test_world_and_instruction_keep_their_config_or_raise(kw, data):
 def test_one_target_with_a_candidate_means_all_have_one(data):
     vocab = ins.build_vocabulary()
     tokens = data.draw(st.lists(st.integers(0, len(vocab.words) - 1), max_size=40))
-    instr = ins.make_instruction(tokens, vocab)
-    rows = instr.valid.any(axis=1).tolist()
-    assert any(rows) == (bool(rows) and all(rows)) == instr.attackable
+    instr, cands = _built_or_refused(tokens)
+    assert any(cands) == (bool(cands) and all(cands))
+    if instr is not None:
+        assert instr.valid.any(axis=1).all()
 
 
 def _few_words():
@@ -115,7 +135,6 @@ def _few_words():
 @given(tokens=st.lists(st.sampled_from(_few_words()), max_size=30))
 def test_grid_matches_the_candidate_lists(tokens):
     # few distinct words, so repeated targets are the common case
-    instr = ins.make_instruction(tokens, ins.build_vocabulary())
-    cands = legacy_ops.build_candidate_sets(instr.tokens, instr.target_set)
-    assert instr.valid_actions() == legacy_ops.candidate_cells(instr)
-    assert instr.attackable == (instr.n_targets >= 2 and all(cands))
+    instr, _ = _built_or_refused(tokens)
+    if instr is not None:
+        assert instr.valid_actions() == legacy_ops.candidate_cells(instr)

@@ -49,8 +49,8 @@ def make_models(seed=0, dtype=np.float32):
 def buf_of(rewards, values=None):
     b = tr.RolloutBuffer()
     for i, r in enumerate(rewards):
-        b.transitions.append(tr.Transition(action=0, reward=r,
-                                           value=0.0 if values is None else values[i]))
+        value_out = None if values is None else dc.constant([[values[i]]], dtype=np.float64)
+        b.transitions.append(tr.Transition(action=0, reward=r, value_out=value_out))
     return b
 
 
@@ -118,7 +118,6 @@ def _bandit_update(reward_for, cfg, steps=1, seed=0):
         buf = tr.RolloutBuffer()
         trn = tr.Transition(action=a, reward=reward_for(a), dist=p)
         trn.value_out = vn.forward(t, np.ones(2))
-        trn.value = trn.value_out.item()
         buf.transitions.append(trn)
         returns, advs = tr.compute_returns(buf, cfg.gamma)
         tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
@@ -160,7 +159,7 @@ def test_entropy_term_alone_moves_policy_toward_uniform():
         ents.append(entropy(p.values))
         buf = tr.RolloutBuffer()
         # zero advantage, zero value error: only the entropy term acts
-        trn = tr.Transition(action=0, reward=0.0, dist=p, value=0.0)
+        trn = tr.Transition(action=0, reward=0.0, dist=p)
         buf.transitions.append(trn)
         returns, advs = tr.compute_returns(buf, cfg.gamma)
         tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
@@ -182,7 +181,6 @@ def test_value_regression_converges_on_constant_reward():
         buf = tr.RolloutBuffer()
         trn = tr.Transition(action=0, reward=1.0, dist=p)
         trn.value_out = vn.forward(t, s)
-        trn.value = trn.value_out.item()
         buf.transitions.append(trn)
         returns, advs = tr.compute_returns(buf, cfg.gamma)
         tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
@@ -227,26 +225,22 @@ def test_rollout_clean_buffers_and_zero_sum():
 
 
 def test_att_learn_needs_the_learned_attacker_and_no_attack_fn():
-    item = next(it for it in make_items() if it.instruction.attackable)
+    # the opponent slot takes None, the learned attacker or a function; only
+    # the learned attacker can learn, and there is no second slot to fill
+    item = make_items()[0]
     nav, att, nav_val, att_val = make_models()
     cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
-    with pytest.raises(ValueError, match="att_learn"):
-        tr.rollout_episode(item, nav, None, "att_learn", rng, cfg, att_value=att_val)
-    with pytest.raises(ValueError, match="att_learn"):
-        tr.rollout_episode(item, nav, att, "att_learn", rng, cfg, att_value=att_val,
-                           attack_fn=lambda instr, r: instr.valid_actions()[0])
-    vocab = ins.build_vocabulary()
-    flat = ins.make_instruction(tuple(vocab.id_of(x) for x in
-                                      "walk past the table then the table".split()), vocab)
-    assert not flat.attackable
-    with pytest.raises(ValueError, match="att_learn"):
-        tr.attacker_update(item._replace(instruction=flat), nav, att, att_val,
-                           cfg.for_attacker(), rng)
+    for opponent in (None, tr._random_attack):
+        with pytest.raises(ValueError, match="att_learn"):
+            tr.rollout_episode(item, nav, opponent, "att_learn", rng, cfg,
+                               att_value=att_val)
+    with pytest.raises(TypeError, match="attack_fn"):
+        tr.rollout_episode(item, nav, att, "eval", rng, cfg, attack_fn=tr._random_attack)
 
 
 @pytest.mark.parametrize("mode", ["nav_learn", "att_learn"])
 def test_learning_modes_refuse_a_missing_value_net_up_front(mode, monkeypatch):
-    item = next(it for it in make_items() if it.instruction.attackable)
+    item = make_items()[0]
     nav, att, nav_val, att_val = make_models()
 
     def no_encode(*args, **kwargs):
@@ -263,7 +257,7 @@ def test_learning_modes_refuse_a_missing_value_net_up_front(mode, monkeypatch):
 
 
 def test_shared_encodings_refuse_another_instruction():
-    first, other = [it for it in make_items() if it.instruction.attackable][:2]
+    first, other = make_items()[:2]
     assert first.instruction != other.instruction
     nav, att, _, _ = make_models()
     cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
@@ -273,8 +267,8 @@ def test_shared_encodings_refuse_another_instruction():
     with pytest.raises(ValueError, match="another instruction"):
         tr.rollout_episode(other, nav, att, "eval", rng, cfg, encodings=encodings)
     # the navigator's entries are keyed by tokens, so other players may share them
-    tr.rollout_episode(other, nav, None, "eval", rng, cfg,
-                       attack_fn=tr._random_attack_fn, encodings=encodings)
+    tr.rollout_episode(other, nav, tr._random_attack, "eval", rng, cfg,
+                       encodings=encodings)
     # instructions compare by value: a rebuilt copy of the first one is its own
     again = ins.make_instruction(first.instruction.tokens, ins.build_vocabulary())
     tr.rollout_episode(first._replace(instruction=again), nav, att, "eval", rng, cfg,
@@ -282,7 +276,7 @@ def test_shared_encodings_refuse_another_instruction():
 
 
 def test_shared_encodings_are_bound_to_their_tapes():
-    item = next(it for it in make_items() if it.instruction.attackable)
+    item = make_items()[0]
     nav, att, nav_val, att_val = make_models()
     cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
     encodings = tr.UpdateEncodings()
@@ -334,32 +328,30 @@ def _count_encoder_work(monkeypatch, nav):
 
 
 def test_navigator_update_runs_each_encoder_cell_once(monkeypatch):
-    items = [it for it in make_items() if it.instruction.attackable][:3]
+    items = make_items()[:3]
     nav, att, nav_val, _ = make_models()
     counts = _count_encoder_work(monkeypatch, nav)
     cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
     for item in items:
         tokens = item.instruction.tokens
         n = len(tokens)
-        for opponent, attack_fn in ((None, None), (att, None),
-                                    (None, tr._random_attack_fn)):
+        for opponent in (None, att, tr._random_attack):
             counts.update(cells=0, seqs=set(), att_encodes=0)
-            tr.navigator_update(item, nav, nav_val, cfg, rng, att=opponent,
-                                attack_fn=attack_fn)
+            tr.navigator_update(item, nav, nav_val, cfg, rng, att=opponent)
             swapped = len(counts["seqs"] - {tokens})
-            if opponent is None and attack_fn is None:
+            if opponent is None:
                 assert counts["cells"] == 2 * n
             else:
                 assert swapped >= 1
                 # a swap at p re-runs forward cells p..n-1 and backward p..0
                 assert counts["cells"] <= 2 * n + (n + 1) * swapped
-            assert counts["att_encodes"] == (opponent is not None)
+            assert counts["att_encodes"] == (opponent is att)
 
 
 @pytest.mark.parametrize("opponent", ["clean", "learned", "random"])
 def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatch):
     # shared cells regroup the gradient sums; float64 steps must still agree
-    item = next(it for it in make_items() if it.instruction.attackable)
+    item = make_items()[0]
 
     def steps():
         nav, att, nav_val, _ = make_models(seed=3, dtype=np.float64)
@@ -368,9 +360,8 @@ def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatc
         before = {k: q.values.copy() for k, q in params.items()}
         tr.navigator_update(item, nav, nav_val, tr.TrainConfig(),
                             np.random.default_rng(5),
-                            att=att if opponent == "learned" else None,
-                            attack_fn=tr._random_attack_fn if opponent == "random"
-                            else None)
+                            att={"clean": None, "learned": att,
+                                 "random": tr._random_attack}[opponent])
         return {k: q.values - before[k] for k, q in params.items()}
 
     new = steps()
@@ -382,7 +373,7 @@ def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatc
 
 
 def test_navigator_update_imitates_the_teacher_on_both_rollouts(monkeypatch):
-    item = next(it for it in make_items() if it.instruction.attackable)
+    item = make_items()[0]
     nav, att, nav_val, _ = make_models()
     rollout, seen = tr.rollout_episode, []
 
@@ -404,7 +395,7 @@ def test_navigator_update_imitates_the_teacher_on_both_rollouts(monkeypatch):
 def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
     # the grid score sums its softmaxes over masked zeros too; float64 steps
     # must still agree with the per-target loop
-    items = [it for it in make_items() if it.instruction.attackable][:3]
+    items = make_items()[:3]
 
     def steps():
         nav, att, _, att_val = make_models(seed=3, dtype=np.float64)
@@ -473,7 +464,7 @@ def test_greedy_validation_matches_the_composed_untaped_cell(spec, monkeypatch):
 
 
 def test_rollout_perturbs_at_most_one_token_per_step():
-    items = [it for it in make_items() if it.instruction.attackable]
+    items = make_items()
     nav, att, nav_val, att_val = make_models()
     cfg = tr.TrainConfig()
     rng = np.random.default_rng(1)
@@ -485,7 +476,7 @@ def test_rollout_perturbs_at_most_one_token_per_step():
 
 
 def test_rollout_trace_prediction_matches_p_c():
-    items = [it for it in make_items() if it.instruction.attackable]
+    items = make_items()
     nav, att, nav_val, att_val = make_models()
     rng = np.random.default_rng(2)
     res = tr.rollout_episode(items[0], nav, att, "eval", rng, tr.TrainConfig(),
@@ -495,7 +486,7 @@ def test_rollout_trace_prediction_matches_p_c():
 
 
 def test_aux_labels_equal_attacker_actions():
-    items = [it for it in make_items() if it.instruction.attackable]
+    items = make_items()
     nav, att, nav_val, att_val = make_models()
     rng = np.random.default_rng(3)
     res = tr.rollout_episode(items[0], nav, att, "nav_learn", rng,
@@ -624,7 +615,7 @@ DIAG_KEYS = {"pg", "value", "entropy", "il", "aux", "grad_norm", "value_grad_nor
 
 
 def test_log_records_of_all_three_stages_share_one_schema():
-    items = [it for it in make_items() if it.instruction.attackable]
+    items = make_items()
     nav, att, nav_val, att_val = make_models()
     cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
     rng = np.random.default_rng(0)
@@ -653,7 +644,7 @@ def test_log_records_of_all_three_stages_share_one_schema():
 
 
 def test_training_refuses_a_frozen_player_that_changed(monkeypatch):
-    items = [it for it in make_items() if it.instruction.attackable]
+    items = make_items()
     nav, att, nav_val, att_val = make_models()
     cfg, rng = tr.TrainConfig(), np.random.default_rng(0)
 
@@ -714,8 +705,18 @@ def test_validation_matches_rollouts_with_their_own_encodings(spec, monkeypatch)
                 assert np.array_equal(r_got[key], r_ref[key]), key
 
 
+def test_validation_refuses_an_empty_item_list():
+    # a success rate over zero episodes is no rate at all
+    nav, att, _, _ = make_models()
+    for kwargs in ({}, dict(att=att)):
+        with pytest.raises(ValueError, match="no items"):
+            tr.validate_navigator([], nav, tr.TrainConfig(), **kwargs)
+    with pytest.raises(ValueError, match="no items"):
+        tr.evaluate_success([], nav, tr.TrainConfig())
+
+
 def test_attacked_validation_reuses_the_clean_episodes_cells(monkeypatch):
-    items = [it for it in make_items() if it.instruction.attackable][:3]
+    items = make_items()[:3]
     nav, att, _, _ = make_models()
     counts = _count_encoder_work(monkeypatch, nav)
     for item in items:
@@ -731,7 +732,7 @@ def test_attacked_validation_reuses_the_clean_episodes_cells(monkeypatch):
 def test_greedy_episodes_stack_gates_per_encode_and_decoder_step(monkeypatch):
     # untaped, the gate weights are stacked once per encoder direction of an
     # encode and once per decoder step, never once per encoder cell
-    items = [it for it in make_items() if it.instruction.attackable][:3]
+    items = make_items()[:3]
     nav, att, _, _ = make_models()
     counts = _count_encoder_work(monkeypatch, nav)
 
@@ -780,11 +781,11 @@ def test_random_draws_only_choose_the_hardening_opponent(monkeypatch):
     events, updates = [], []
     nav_update, att_update = tr.navigator_update, tr.attacker_update
 
-    def nav_recording(*args, att=None, attack_fn=None, **kwargs):
-        kind = "random" if attack_fn else "learned" if att else "clean"
+    def nav_recording(*args, att=None, **kwargs):
+        kind = {None: "clean", tr._random_attack: "random"}.get(att, "learned")
         updates.append(("eta", kind))
         events.append("eta")
-        out = nav_update(*args, att=att, attack_fn=attack_fn, **kwargs)
+        out = nav_update(*args, att=att, **kwargs)
         events.append("end")
         return out
 
@@ -861,9 +862,8 @@ def test_rollouts_reproduce_pinned_fingerprints(mode, opponent):
     digests = []
     for i, item in enumerate(items):
         res = tr.rollout_episode(
-            item, nav, att if opponent == "learned" else None, mode,
-            np.random.default_rng([3, i]), tr.TrainConfig(),
-            attack_fn=tr._random_attack_fn if opponent == "random" else None,
+            item, nav, {"clean": None, "learned": att, "random": tr._random_attack}[opponent],
+            mode, np.random.default_rng([3, i]), tr.TrainConfig(),
             record_trace=True, **values.get(mode, {}))
         digests.append(_rollout_fingerprint(res))
         if mode == "att_learn":

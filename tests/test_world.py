@@ -223,3 +223,13 @@ def test_unspaceable_world_raises():
     # 60 nodes cannot be kept 2 m apart in the 20 m box within 200 tries
     with pytest.raises(ValueError, match="2 m apart"):
         small_world(seed=0, n_nodes=60)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("edge_density", 1.5), ("edge_density", -0.1), ("edge_density", float("nan")),
+    ("d_v", 0), ("horizon", 0), ("success_radius", -1.0), ("feature_noise", -1.0),
+    ("box", -5.0), ("box", 0.0), ("box", float("nan")),
+])
+def test_world_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        w.WorldConfig(**{field: value})
