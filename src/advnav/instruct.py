@@ -86,8 +86,9 @@ class AttackAction(NamedTuple):
 @dataclass(frozen=True)
 class Instruction:
     """Construction raises ``ValueError`` unless there are at least two
-    targets and ``valid`` is an L'×L' grid with a valid cell in every row,
-    so every target can be attacked; ``valid`` is kept as a read-only copy."""
+    targets, at increasing positions of ``tokens``, and ``valid`` is an L'×L'
+    grid with a valid cell in every row and none that swaps a word for itself;
+    ``valid`` is kept as a read-only copy."""
     tokens: tuple
     target_set: tuple                     # positions of object/location tokens
     # (L', L') read-only bool: cell (j, i) may put target i's word at target j
@@ -98,6 +99,12 @@ class Instruction:
         if n < 2 or valid.shape != (n, n) or not valid.any(axis=1).all():
             raise ValueError(f"{n} targets and a {valid.shape} grid: an instruction needs "
                              "two or more targets and an L'×L' grid with no empty row")
+        pos = self.target_set
+        if pos[0] < 0 or pos[-1] >= len(self.tokens) or any(a >= b for a, b in zip(pos, pos[1:])):
+            raise ValueError(f"target positions {pos} do not increase within the tokens")
+        words = np.array([self.tokens[p] for p in pos])
+        if (valid & (words[:, None] == words[None, :])).any():
+            raise ValueError("a valid cell swaps a target's word for the same word")
         valid.flags.writeable = False
         object.__setattr__(self, "valid", valid)
 

@@ -16,7 +16,8 @@ products against a projected row vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -34,8 +35,10 @@ class ModelDims:
     d_h: int = 32   # decoder hidden width
 
     def __post_init__(self):
-        if min(self.d_w, self.d_v, self.d_p, self.d_h) <= 0:
-            raise ValueError("model dims must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
         if self.d_w % 2:
             raise ValueError("d_w must be even (split across encoder directions)")
 

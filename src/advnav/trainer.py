@@ -6,8 +6,8 @@ Each update collects its rollouts on one tape, sharing their encodings
 navigator step by step: visual attention first (its output is the shared RL
 state), then the attacking player may substitute one word of the original
 instruction, the navigator encodes whatever token sequence it receives and
-finishes the step, and the environment moves.  Rewards are framed
-zero-sum: whatever the attacker gains the navigator loses.
+finishes the step, and the environment moves and pays the navigator its
+reward.  The attacker gets the negation, so the game is zero-sum.
 
 Every episode ends terminally (the navigator stops or reaches the horizon),
 so returns are the plain discounted reward sums with no bootstrap term;
@@ -21,7 +21,8 @@ cross-entropy term asking it to name the attacked word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -68,20 +69,19 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("lr", "rl_weight", "entropy_weight", "value_weight",
                      "il_weight", "aux_weight", "att_lr", "att_rl_weight",
-                     "att_value_weight", "att_entropy_weight", "grad_clip",
-                     "n_eta", "n_pi"):
+                     "att_value_weight", "att_entropy_weight", "grad_clip"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("n_iter", "value_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, lo in (("n_eta", 0), ("n_pi", 0), ("n_iter", 1), ("value_hidden", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < lo:
+                raise ValueError(f"{name} must be an integer of at least {lo}, got {value!r}")
 
     def for_attacker(self) -> "TrainConfig":
-        from dataclasses import replace
         return replace(self, lr=self.att_lr, rl_weight=self.att_rl_weight,
                        value_weight=self.att_value_weight,
                        entropy_weight=self.att_entropy_weight,
-                       gamma=self.att_gamma, il_weight=0.0, aux_weight=0.0)
+                       gamma=self.att_gamma)
 
 
 class ValueNet:
@@ -123,9 +123,6 @@ class Transition:
 class RolloutBuffer:
     transitions: list = field(default_factory=list)
     success: bool = False
-
-    def __len__(self):
-        return len(self.transitions)
 
     @property
     def rewards(self):
@@ -174,8 +171,10 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
     shortest-path teacher, 'att_learn' tapes and samples the learned
     attacker (navigator frozen and greedy), and 'eval' freezes both.  Each
     step records the attacker's move, then the navigator's, as each is
-    made.  'att_learn' refuses any opponent but an ``Attacker``, and the
-    sampling modes need their player's value net.
+    made.  The navigator is paid what ``world.step`` returns, the attacker
+    its negation, and both buffers' success is the last episode's.
+    'att_learn' refuses any opponent but an ``Attacker``, and the sampling
+    modes need their player's value net.
     Passing ``tape`` lets several rollouts share one update, and passing
     them one ``encodings`` lets them share the encoder's work too; without
     it each rollout gets its own.
@@ -253,19 +252,16 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         if nav_tr.action != wd.STOP_ACTION:
             state = nav.with_action(proto, views, nav_tr.action)
 
-        ep_next = wd.step(ep, nav_tr.action)
-        nav_tr.reward = -wd.attacker_reward(ep, ep_next)
+        ep_next, nav_tr.reward = wd.step(ep, nav_tr.action)
         if attacking:
             att_tr.reward = -nav_tr.reward
         if record_trace:
             trace.append(_trace_row(instr, ep.step_index, action_att, out, nav_tr))
         ep = ep_next
 
-    success = wd.geodesic_distance(graph, ep.current, ep.goal) \
-        <= graph.config.success_radius
-    nav_buf.success = success
+    nav_buf.success = ep.success
     if att_buf is not None:
-        att_buf.success = success
+        att_buf.success = ep.success
     return RolloutResult(nav_buffer=nav_buf, att_buffer=att_buf, episode=ep,
                          tape=tape, trace=trace)
 

@@ -7,15 +7,16 @@ neighbor's landmark words, so that instructions mentioning those words are
 groundable against the views.  A per-node stop view embeds the node's own
 landmarks plus a global stop marker.
 
-Episodes move along edges or stop; rewards are framed from the attacker's
-side (negative when the navigator does well).  The trainer gives the
-navigator the exact negation, making every transition zero-sum.
+Each node's views are stacked once, read-only.  An episode is its
+trajectory, and ``step`` returns the navigator's reward for each move; the
+trainer pays the attacker the negation, so every transition is zero-sum.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,10 +42,6 @@ def landmark_feature(word: str, dim: int) -> np.ndarray:
     return (rng.standard_normal(dim) / np.sqrt(dim)).astype(np.float32)
 
 
-def _stop_marker(dim: int) -> np.ndarray:
-    return landmark_feature("<stop-view>", dim)
-
-
 @dataclass(frozen=True)
 class WorldConfig:
     n_nodes: int = 12
@@ -58,9 +55,13 @@ class WorldConfig:
     j_max: int = 5                 # max neighbors per node
 
     def __post_init__(self):
+        for name in ("n_nodes", "d_v", "horizon", "j_max"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # j_max: a spanning tree on n >= 3 nodes has a node of degree >= 2
-        for name, lo, hi in (("j_max", 2, np.inf), ("d_v", 1, np.inf), ("horizon", 1, np.inf),
-                             ("edge_density", 0.0, 1.0), ("success_radius", 0.0, np.inf),
+        for name, lo, hi in (("n_nodes", 4, np.inf), ("j_max", 2, np.inf), ("d_v", 1, np.inf),
+                             ("horizon", 1, np.inf), ("edge_density", 0.0, 1.0),
+                             ("success_radius", 0.0, np.inf),
                              ("feature_noise", 0.0, np.inf)):
             if not lo <= getattr(self, name) <= hi:
                 raise ValueError(f"{name} must lie in [{lo}, {hi}], got {getattr(self, name)}")
@@ -76,8 +77,7 @@ class WorldGraph:
     neighbors: dict                         # node -> sorted neighbor list
     edge_lengths: dict                      # (node, neighbor) -> meters
     landmarks: dict                         # node -> (object word, location word)
-    view_features: dict                     # (node, neighbor) -> (d_v,) float32
-    stop_features: dict                     # node -> (d_v,) float32
+    views: dict                             # node -> read-only (1 + degree, d_v) float32
     _dist_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -87,9 +87,7 @@ class WorldGraph:
     def candidate_views(self, node: int) -> np.ndarray:
         """Rows aligned with the action indexing: stop view first, then the
         views toward neighbors in sorted-id order."""
-        rows = [self.stop_features[node]]
-        rows += [self.view_features[(node, nbr)] for nbr in self.neighbors[node]]
-        return np.stack(rows)
+        return self.views[node]
 
 
 def generate_world(config: WorldConfig) -> WorldGraph:
@@ -98,8 +96,6 @@ def generate_world(config: WorldConfig) -> WorldGraph:
     Every node has at most ``config.j_max`` neighbors and no two nodes lie
     closer than 2 m; raises ``ValueError`` when the spacing cannot be met.
     """
-    if config.n_nodes < 4:
-        raise ValueError(f"need at least 4 nodes, got {config.n_nodes}")
     rng = np.random.default_rng(config.seed)
     n = config.n_nodes
 
@@ -164,23 +160,25 @@ def generate_world(config: WorldConfig) -> WorldGraph:
 
     noise = config.feature_noise
     d_v = config.d_v
-    view_features, stop_features = {}, {}
-    marker = _stop_marker(d_v)
+    views = {}
+    marker = landmark_feature("<stop-view>", d_v)
     for i in range(n):
+        rows = []
         for nbr in neighbors[i]:
             planted = landmark_feature(landmarks[nbr][0], d_v) \
                 + landmark_feature(landmarks[nbr][1], d_v)
             base = rng.standard_normal(d_v).astype(np.float32) / np.sqrt(d_v)
-            view_features[(i, nbr)] = (planted + noise * base).astype(np.float32)
+            rows.append((planted + noise * base).astype(np.float32))
         planted = landmark_feature(landmarks[i][0], d_v) \
             + landmark_feature(landmarks[i][1], d_v)
         base = rng.standard_normal(d_v).astype(np.float32) / np.sqrt(d_v)
-        stop_features[i] = (planted + marker + noise * base).astype(np.float32)
+        # the stop view is drawn last but stacked first, as action 0
+        views[i] = np.stack([(planted + marker + noise * base).astype(np.float32), *rows])
+        views[i].flags.writeable = False
 
     graph = WorldGraph(config=config, coords=coords, edges=sorted(edges),
                        neighbors=neighbors, edge_lengths=edge_lengths,
-                       landmarks=landmarks, view_features=view_features,
-                       stop_features=stop_features)
+                       landmarks=landmarks, views=views)
     assert _connected(graph), "spanning-tree construction must connect the graph"
     return graph
 
@@ -195,11 +193,14 @@ def _connected(g: WorldGraph) -> bool:
     return len(seen) == g.n_nodes
 
 
+def _check_nodes(g: WorldGraph, *nodes):
+    if not all(0 <= node < g.n_nodes for node in nodes):
+        raise ValueError(f"unknown node among {nodes}")
+
+
 def geodesic_distance(g: WorldGraph, a: int, b: int) -> float:
     """Shortest-path distance in meters along graph edges."""
-    for node in (a, b):
-        if not 0 <= node < g.n_nodes:
-            raise ValueError(f"unknown node {node}")
+    _check_nodes(g, a, b)
     if a == b:
         return 0.0
     dist = _dijkstra(g, a)
@@ -236,7 +237,9 @@ def _next_hop(g: WorldGraph, node: int, goal: int) -> int:
 
 
 def shortest_path(g: WorldGraph, a: int, b: int) -> list:
-    """Node sequence of a shortest path from a to b (greedy on distances)."""
+    """Node sequence of a shortest path from a to b (greedy on distances);
+    raises ``ValueError`` for a node outside the world."""
+    _check_nodes(g, a, b)
     path = [a]
     while path[-1] != b:
         path.append(g.neighbors[path[-1]][_next_hop(g, path[-1], b)])
@@ -246,68 +249,57 @@ def shortest_path(g: WorldGraph, a: int, b: int) -> list:
 @dataclass(frozen=True)
 class Episode:
     world: WorldGraph
-    start: int
     goal: int
-    current: int
     trajectory: tuple
     ground_truth_path: tuple
-    step_index: int = 0
     done: bool = False
 
     @property
-    def horizon(self) -> int:
-        return self.world.config.horizon
+    def start(self) -> int:
+        return self.trajectory[0]
+
+    @property
+    def current(self) -> int:
+        return self.trajectory[-1]
+
+    @property
+    def step_index(self) -> int:
+        return len(self.trajectory) - 1
+
+    @property
+    def success(self) -> bool:
+        """The episode is over and ended within ``success_radius`` of the goal."""
+        return self.done and geodesic_distance(self.world, self.current, self.goal) \
+            <= self.world.config.success_radius
 
 
 def make_episode(world: WorldGraph, start: int, goal: int) -> Episode:
     path = tuple(shortest_path(world, start, goal))
     if world.config.horizon < len(path):
         raise ValueError("horizon shorter than the ground-truth path")
-    return Episode(world=world, start=start, goal=goal, current=start,
-                   trajectory=(start,), ground_truth_path=path)
+    return Episode(world=world, goal=goal, trajectory=(start,), ground_truth_path=path)
 
 
-def step(ep: Episode, action: int) -> Episode:
-    """Apply one action: 0 stops, 1..J move to the sorted neighbor list."""
+def step(ep: Episode, action: int) -> tuple:
+    """Apply one action (0 stops, 1..J move to the sorted neighbor list) and
+    return the next episode and the navigator's reward for the move: on the
+    final move +3 if it is a ``success``, else -3; otherwise +1 when the
+    distance to the goal strictly decreased, else -1 (a tie is no progress)."""
     if ep.done:
         raise ValueError("episode already done")
     nbrs = ep.world.neighbors[ep.current]
     if not 0 <= action <= len(nbrs):
         raise ValueError(f"action {action} out of range 0..{len(nbrs)}")
     if action == STOP_ACTION:
-        return replace(ep, done=True)
-    nxt = nbrs[action - 1]
-    idx = ep.step_index + 1
-    return replace(ep, current=nxt, trajectory=ep.trajectory + (nxt,),
-                   step_index=idx, done=idx >= ep.horizon)
-
-
-def attacker_reward(ep_before: Episode, ep_after: Episode) -> float:
-    """Reward for the attacking player; the trainer gives the navigator the
-    negation.
-
-    Final step: -3 when the navigator ends within the success radius of the
-    goal, +3 otherwise.  Non-final step: -1 when the distance to the goal
-    strictly decreased, +1 otherwise (ties count as no progress).
-    """
-    _check_adjacent(ep_before, ep_after)
-    g = ep_before.world
-    if ep_after.done:
-        ne = geodesic_distance(g, ep_after.current, ep_after.goal)
-        return -3.0 if ne <= g.config.success_radius else 3.0
-    before = geodesic_distance(g, ep_before.current, ep_before.goal)
-    after = geodesic_distance(g, ep_after.current, ep_after.goal)
-    return -1.0 if after < before else 1.0
-
-
-def _check_adjacent(ep_before: Episode, ep_after: Episode):
-    stopped = (ep_after.trajectory == ep_before.trajectory and ep_after.done
-               and ep_after.step_index == ep_before.step_index)
-    moved = (ep_after.trajectory[:-1] == ep_before.trajectory
-             and ep_after.step_index == ep_before.step_index + 1
-             and (not ep_after.done or ep_after.step_index >= ep_after.horizon))
-    if ep_before.done or not (stopped or moved):
-        raise ValueError("episodes are not one step apart")
+        nxt = replace(ep, done=True)
+    else:
+        trajectory = ep.trajectory + (nbrs[action - 1],)
+        nxt = replace(ep, trajectory=trajectory, done=len(trajectory) > ep.world.config.horizon)
+    if nxt.done:
+        return nxt, 3.0 if nxt.success else -3.0
+    before = geodesic_distance(ep.world, ep.current, ep.goal)
+    after = geodesic_distance(ep.world, nxt.current, nxt.goal)
+    return nxt, 1.0 if after < before else -1.0
 
 
 def teacher_action(ep: Episode) -> int:

@@ -198,6 +198,19 @@ def test_instruction_refuses_too_few_targets_or_a_misshapen_grid(vocab):
             ins.Instruction(tokens=base.tokens, target_set=base.target_set, valid=valid)
 
 
+def test_instruction_refuses_misplaced_targets_or_same_word_cells(vocab):
+    base = ins.make_instruction(toks(vocab, "walk past the table into the kitchen"), vocab)
+    first, second = base.target_set
+    for targets in ((first, 99), (-1, second), (second, first), (first, first)):
+        with pytest.raises(ValueError, match="do not increase"):
+            ins.Instruction(tokens=base.tokens, target_set=targets, valid=base.valid)
+    # (0, 1) would put "table" at a "table": no perturbation at all
+    valid = ~np.eye(3, dtype=bool)
+    with pytest.raises(ValueError, match="same word"):
+        ins.Instruction(tokens=toks(vocab, "table table kitchen"), target_set=(0, 1, 2),
+                        valid=valid)
+
+
 def test_directly_built_grid_is_a_read_only_copy(vocab):
     base = ins.make_instruction(toks(vocab, "walk past the table into the kitchen"), vocab)
     valid = base.valid.copy()

@@ -287,7 +287,7 @@ def test_imitation_loss_strictly_decreases_when_overfitting():
             teach = w.teacher_action(ep)
             terms.append(dc.cross_entropy(t, out.p_n, teach))
             state = nav.with_action(proto, views, teach)
-            ep = w.step(ep, teach)  # teacher forcing
+            ep, _ = w.step(ep, teach)  # teacher forcing
         loss = terms[0]
         for term in terms[1:]:
             loss = dc.add(t, loss, term)

@@ -2,8 +2,10 @@
 
 Every config either raises ``ValueError`` or yields a world that keeps its
 promises: connected, degree at most ``j_max``, nodes at least 2 m apart,
-a teacher that walks to the goal within the horizon, and instructions whose
-every valid attack swaps exactly one landmark word for another.
+read-only candidate views with a row per action, a teacher that walks to
+the goal within the horizon, episodes that are their trajectories and earn
+the paper's rewards on any walk, and instructions whose every valid attack
+swaps exactly one landmark word for another.
 
 Every instruction can be attacked at every step: it has at least two targets
 and a valid cell in every target-grid row, the invariant the attacker's
@@ -45,14 +47,34 @@ def _check_world(g):
     d = np.linalg.norm(g.coords[:, None] - g.coords[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 2.0
+    for node, nbrs in g.neighbors.items():
+        views = g.candidate_views(node)
+        assert views.shape == (1 + len(nbrs), cfg.d_v) and not views.flags.writeable
 
 
 def _check_teacher(g, ep):
     while not ep.done:
-        ep = w.step(ep, w.teacher_action(ep))
+        ep, _ = w.step(ep, w.teacher_action(ep))
     assert ep.trajectory == ep.ground_truth_path
     assert ep.current == ep.goal
     assert ep.step_index < g.config.horizon
+
+
+def _check_walk(g, ep, draw):
+    """Every reward of a random walk follows the rule recomputed from the
+    distances: +-1 for progress, +-3 on the final move by the radius."""
+    radius = g.config.success_radius
+    while not ep.done:
+        before = w.geodesic_distance(g, ep.current, ep.goal)
+        ep, reward = w.step(ep, draw(st.integers(0, len(g.neighbors[ep.current]))))
+        after = w.geodesic_distance(g, ep.current, ep.goal)
+        if ep.done:
+            assert reward == (3.0 if after <= radius else -3.0)
+        else:
+            assert reward == (1.0 if after < before else -1.0)
+        assert ep.current == ep.trajectory[-1]
+        assert ep.step_index == len(ep.trajectory) - 1 <= g.config.horizon
+    assert ep.success == (after <= radius)
 
 
 def _check_attacks(instr):
@@ -72,6 +94,7 @@ world_kwargs = st.fixed_dictionaries({
     "horizon": st.integers(1, 12),
     "seed": st.integers(0, 2 ** 16),
     "box": st.floats(8.0, 40.0),
+    "success_radius": st.floats(0.0, 10.0),
     "j_max": st.integers(0, 8),
 })
 
@@ -96,6 +119,7 @@ def test_world_and_instruction_keep_their_config_or_raise(kw, data):
             continue
         ep = w.make_episode(g, start, goal)
         _check_teacher(g, ep)
+        _check_walk(g, ep, data.draw)
         instr = ins.generate_instruction(g, ep, seed=data.draw(st.integers(0, 2 ** 16)))
         _check_attacks(instr)
         assert tuple(instr.tokens[p] for p in instr.target_set[-2:]) == \

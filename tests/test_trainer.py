@@ -544,6 +544,20 @@ def test_train_config_rejects_out_of_range_values(field, value):
         tr.TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("make,field,value", [
+    (tr.TrainConfig, "n_eta", 2.5), (tr.TrainConfig, "n_pi", 1.5),
+    (tr.TrainConfig, "n_iter", 1.5), (tr.TrainConfig, "value_hidden", 8.0),
+    (w.WorldConfig, "n_nodes", 12.0), (w.WorldConfig, "d_v", 8.5),
+    (w.WorldConfig, "horizon", 10.5), (w.WorldConfig, "j_max", 3.0),
+    (ModelDims, "d_w", 8.0), (ModelDims, "d_v", 6.5), (ModelDims, "d_p", 5.5),
+    (ModelDims, "d_h", 7.5),
+])
+def test_integer_config_fields_refuse_non_integers(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .*integer"):
+        make(**{field: value})
+    make(**{field: np.int64(value)})    # numpy integers are integers
+
+
 def test_attacker_reward_improves_against_frozen_navigator():
     items = make_items(n_worlds=2, episodes=6, seed=5)
     nav, att, nav_val, att_val = make_models(seed=5)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,8 +17,8 @@ def test_same_seed_same_world():
     assert a.edges == b.edges
     assert np.array_equal(a.coords, b.coords)
     assert a.landmarks == b.landmarks
-    for key in a.view_features:
-        assert np.array_equal(a.view_features[key], b.view_features[key])
+    for key in a.views:
+        assert np.array_equal(a.views[key], b.views[key])
 
 
 def test_full_density_four_nodes_is_complete():
@@ -113,7 +114,7 @@ def test_shortest_path_endpoints_and_length():
 def test_stop_action_finishes_immediately():
     g = small_world(seed=0)
     ep = w.make_episode(g, 0, 5)
-    done = w.step(ep, w.STOP_ACTION)
+    done, _ = w.step(ep, w.STOP_ACTION)
     assert done.done and len(done.trajectory) == 1
     with pytest.raises(ValueError):
         w.step(done, 0)
@@ -123,7 +124,7 @@ def test_move_appends_to_trajectory():
     g = small_world(seed=0)
     ep = w.make_episode(g, 0, 5)
     nbr = g.neighbors[0][0]
-    ep2 = w.step(ep, 1)
+    ep2, _ = w.step(ep, 1)
     assert ep2.current == nbr
     assert ep2.step_index == 1
     assert ep2.trajectory == (0, nbr)
@@ -133,7 +134,7 @@ def test_horizon_forces_done():
     g = small_world(seed=0)
     ep = w.make_episode(g, 0, 5)
     while not ep.done:
-        ep = w.step(ep, 1)  # always move to the first neighbor
+        ep, _ = w.step(ep, 1)  # always move to the first neighbor
     assert ep.step_index == g.config.horizon
 
 
@@ -149,7 +150,7 @@ def test_trajectory_is_a_graph_path():
     rng = np.random.default_rng(1)
     ep = w.make_episode(g, 0, g.n_nodes - 1)
     while not ep.done:
-        ep = w.step(ep, int(rng.integers(0, 1 + len(g.neighbors[ep.current]))))
+        ep, _ = w.step(ep, int(rng.integers(0, 1 + len(g.neighbors[ep.current]))))
     for u, v in zip(ep.trajectory, ep.trajectory[1:]):
         assert v in g.neighbors[u]
 
@@ -157,8 +158,8 @@ def test_trajectory_is_a_graph_path():
 def test_reward_stop_at_goal():
     g = small_world(seed=0)
     ep = w.make_episode(g, 0, 0)
-    done = w.step(ep, w.STOP_ACTION)
-    assert w.attacker_reward(ep, done) == -3.0
+    _, reward = w.step(ep, w.STOP_ACTION)
+    assert reward == 3.0
 
 
 def test_reward_progress_step():
@@ -167,9 +168,9 @@ def test_reward_progress_step():
     ep = w.make_episode(g, 0, goal)
     good = ep.ground_truth_path[1]
     action = g.neighbors[0].index(good) + 1
-    ep2 = w.step(ep, action)
+    ep2, reward = w.step(ep, action)
     if not ep2.done:
-        assert w.attacker_reward(ep, ep2) == -1.0
+        assert reward == 1.0
 
 
 def test_rewards_are_zero_sum_and_bounded():
@@ -179,26 +180,49 @@ def test_rewards_are_zero_sum_and_bounded():
         a, b = rng.choice(g.n_nodes, size=2, replace=False)
         ep = w.make_episode(g, int(a), int(b))
         while not ep.done:
-            ep2 = w.step(ep, int(rng.integers(0, 1 + len(g.neighbors[ep.current]))))
-            # the trainer pays the navigator -ra (test_rollout_clean_buffers_and_zero_sum)
-            ra = w.attacker_reward(ep, ep2)
-            assert ra in (-3.0, -1.0, 1.0, 3.0)
-            ep = ep2
+            # the trainer pays the attacker -reward (test_rollout_clean_buffers_and_zero_sum)
+            ep, reward = w.step(ep, int(rng.integers(0, 1 + len(g.neighbors[ep.current]))))
+            assert reward in (-3.0, -1.0, 1.0, 3.0)
 
 
-def test_reward_rejects_non_adjacent_episodes():
+def test_each_reward_value_is_reached():
     g = small_world(seed=0)
     ep = w.make_episode(g, 0, 5)
-    ep2 = w.step(w.step(ep, 1), w.STOP_ACTION)
-    with pytest.raises(ValueError):
-        w.attacker_reward(ep, ep2)
+    assert w.geodesic_distance(g, 0, 5) > g.config.success_radius
+    toward = g.neighbors[0].index(ep.ground_truth_path[1]) + 1
+    away = next(a for a, n in enumerate(g.neighbors[0], 1)
+                if w.geodesic_distance(g, n, 5) >= w.geodesic_distance(g, 0, 5))
+    assert w.step(ep, toward)[1] == 1.0
+    assert w.step(ep, away)[1] == -1.0
+    stopped, reward = w.step(ep, w.STOP_ACTION)
+    assert reward == -3.0 and stopped.done and not stopped.success
+    # walked to the goal by the teacher, the last move ends inside the radius
+    while not ep.done:
+        ep, reward = w.step(ep, w.teacher_action(ep))
+    assert reward == 3.0 and ep.success
+
+
+def test_episode_is_its_trajectory():
+    g = small_world(seed=0)
+    ep = w.make_episode(g, 0, 5)
+    assert {f.name for f in dataclasses.fields(ep)} == \
+        {"world", "goal", "trajectory", "ground_truth_path", "done"}
+    ep, _ = w.step(ep, 1)
+    assert (ep.start, ep.current, ep.step_index) == (0, ep.trajectory[-1], 1)
+    assert not ep.success   # not over yet
+
+
+@pytest.mark.parametrize("start,goal", [(0, 99), (-1, 3), (12, 0), (0, -5)])
+def test_episode_endpoints_outside_the_world_rejected(start, goal):
+    with pytest.raises(ValueError, match="unknown node"):
+        w.make_episode(small_world(seed=0), start, goal)
 
 
 def test_teacher_reaches_goal():
     g = small_world(seed=9)
     ep = w.make_episode(g, 0, g.n_nodes - 1)
     while not ep.done:
-        ep = w.step(ep, w.teacher_action(ep))
+        ep, _ = w.step(ep, w.teacher_action(ep))
     assert ep.current == ep.goal
     assert w.geodesic_distance(g, ep.start, ep.goal) == pytest.approx(
         sum(g.edge_lengths[u, v] for u, v in zip(ep.trajectory, ep.trajectory[1:])))
@@ -229,6 +253,7 @@ def test_unspaceable_world_raises():
     ("edge_density", 1.5), ("edge_density", -0.1), ("edge_density", float("nan")),
     ("d_v", 0), ("horizon", 0), ("success_radius", -1.0), ("feature_noise", -1.0),
     ("box", -5.0), ("box", 0.0), ("box", float("nan")),
+    ("n_nodes", 3),
 ])
 def test_world_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
