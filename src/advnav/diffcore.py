@@ -33,14 +33,15 @@ class EngineError(Exception):
 
 
 class Tensor:
-    """Dense array with an optional, read-only gradient of the same shape."""
+    """Dense 2-D array with an optional, read-only gradient of the same
+    shape.  Construction raises ``EngineError`` for values of any other rank."""
 
     __slots__ = ("values", "grad")
 
     def __init__(self, values, dtype=np.float32):
         arr = np.asarray(values, dtype=dtype)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
+        if arr.ndim != 2:
+            raise EngineError(f"Tensor: values must be 2-D, got shape {arr.shape}")
         self.values = arr
         self.grad = None
 
@@ -222,8 +223,6 @@ def _apply(tape, op, inputs, ctx=(None,)):
     fwd = PRIMITIVES[op][0]
     try:
         arr = fwd(ctx, *[t.values for t in inputs])
-    except EngineError:
-        raise
     except ValueError as exc:
         shapes = [t.values.shape for t in inputs]
         raise EngineError(f"{op}: incompatible shapes {shapes}: {exc}") from exc

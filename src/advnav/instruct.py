@@ -153,7 +153,7 @@ def make_instruction(tokens, vocab: Vocabulary) -> Instruction:
 def apply_perturbation(instr: Instruction, action: AttackAction,
                        timestep: int) -> PerturbedInstruction:
     """Substitute one target word of the original tokens; never compounds."""
-    j, i = action
+    j, i = action.target_index, action.source_index
     n = instr.n_targets
     if not (0 <= j < n and 0 <= i < n and instr.valid[j, i]):
         raise ValueError(f"attack cell {(j, i)} is not a valid substitution")

@@ -64,17 +64,14 @@ class NavStepOutput:
 
 
 def init_encoder_params(rng, vocab, d_w, dtype=np.float32) -> dict:
-    """Word embedding plus both directions of the BiLSTM encoder.
-
-    ``vocab`` is either a Vocabulary or a plain table size.  Landmark words
-    start from the same planted lexical vectors the synthetic views carry
-    (the pretrained-embedding analog), other words start uniform."""
-    size = vocab if isinstance(vocab, int) else len(vocab)
-    table = rng.uniform(-1.0 / np.sqrt(d_w), 1.0 / np.sqrt(d_w), size=(size, d_w))
-    if not isinstance(vocab, int):
-        for t in range(size):
-            if vocab.is_landmark(t):
-                table[t] = landmark_feature(vocab.word(t), d_w)
+    """Word embedding plus both directions of the BiLSTM encoder, one table
+    row per word of the ``Vocabulary``.  Landmark words start from the same
+    planted lexical vectors the synthetic views carry (the pretrained-
+    embedding analog), other words start uniform."""
+    table = rng.uniform(-1.0 / np.sqrt(d_w), 1.0 / np.sqrt(d_w), size=(len(vocab), d_w))
+    for t in range(len(vocab)):
+        if vocab.is_landmark(t):
+            table[t] = landmark_feature(vocab.word(t), d_w)
     p = {"embed": Tensor(table, dtype=dtype)}
     p.update(dc.init_lstm_params(rng, d_w, d_w // 2, prefix="enc_f.", dtype=dtype))
     p.update(dc.init_lstm_params(rng, d_w, d_w // 2, prefix="enc_b.", dtype=dtype))
@@ -124,8 +121,8 @@ class Navigator:
 
     @classmethod
     def create(cls, rng, vocab, dims: ModelDims, dtype=np.float32):
-        """``vocab`` is either a Vocabulary (landmark rows get planted
-        vectors) or a plain table size."""
+        """``vocab`` is the ``Vocabulary``; its landmark rows get planted
+        vectors (``init_encoder_params``)."""
         d = dims
         p = init_encoder_params(rng, vocab, d.d_w, dtype=dtype)
         p.update(dc.init_lstm_params(rng, 2 * d.d_v, d.d_h, prefix="dec.", dtype=dtype))
@@ -144,13 +141,13 @@ class Navigator:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode(self, tape: Optional[Tape], tokens, target_set=(),
+    def encode(self, tape: Optional[Tape], tokens, target_set,
                memo: Optional[dict] = None) -> EncodedInstruction:
-        """Embed tokens and run both recurrence directions; gather target rows.
-        ``memo`` shares cells between encodes on one tape (``encode_tokens``)."""
+        """Embed tokens and run both recurrence directions; gather the rows
+        at the ``target_set`` positions.  ``memo`` shares cells between
+        encodes on one tape (``encode_tokens``)."""
         u = encode_tokens(tape, self.params, tokens, memo)
-        f_w = dc.gather_rows(tape, u, list(target_set)) if target_set else None
-        return EncodedInstruction(u=u, f_w=f_w)
+        return EncodedInstruction(u=u, f_w=dc.gather_rows(tape, u, list(target_set)))
 
     # -- decoder ------------------------------------------------------------
 
@@ -183,8 +180,7 @@ class Navigator:
             tape, dc.concat(tape, [f_w_att, h], axis=1), p["w_hp"]))
         p_n = dc.softmax(tape, dc.rowdot(
             tape, dc.matmul(tape, views, p["w_a"]), h_tilde))
-        p_c = self.predict_attacked_word(tape, h_tilde, enc.f_w) \
-            if enc.f_w is not None else None
+        p_c = self.predict_attacked_word(tape, h_tilde, enc.f_w)
         out = NavStepOutput(alpha_w=alpha_w, p_n=p_n, p_c=p_c)
         return out, NavState(h_tilde=h_tilde, cell=cell, prev_action=None)
 
@@ -201,14 +197,11 @@ class Navigator:
         return replace(state, prev_action=feat)
 
 
-def greedy_action(p) -> int:
-    vals = p.values if isinstance(p, Tensor) else np.asarray(p)
-    return int(np.argmax(vals.reshape(-1)))
+def greedy_action(p: Tensor) -> int:
+    return int(np.argmax(p.values.reshape(-1)))
 
 
-def sample_action(p, rng) -> int:
-    vals = (p.values if isinstance(p, Tensor) else np.asarray(p)).reshape(-1)
-    probs = vals.astype(np.float64)
-    probs = np.maximum(probs, 0.0)
+def sample_action(p: Tensor, rng) -> int:
+    probs = p.values.reshape(-1).astype(np.float64)
     probs /= probs.sum()
     return int(rng.choice(len(probs), p=probs))

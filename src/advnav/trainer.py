@@ -91,7 +91,7 @@ class ValueNet:
         self.params = params
 
     @classmethod
-    def create(cls, rng, d_in, hidden=32, dtype=np.float32):
+    def create(cls, rng, d_in, hidden, dtype=np.float32):
         return cls({
             "v1": dc.init_uniform(rng, (d_in, hidden), dtype=dtype),
             "b1": dc.init_uniform(rng, (1, hidden), fan_in=d_in, dtype=dtype),
@@ -216,7 +216,7 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         _, f_v = nav.visual_attention(nav_tape, views, state)
         s_t = f_v.values.reshape(-1).copy()
 
-        action_att, tokens_t = None, instr.tokens
+        action_att, pert, tokens_t = None, None, instr.tokens
         if attacking:
             if learned:
                 score = att.attack_score(att_tape, encs.att, s_t)
@@ -229,7 +229,8 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
                 att_tr.dist = score.p_flat
                 att_tr.value_out = att_value.forward(att_tape, s_t)
             att_buf.transitions.append(att_tr)
-            tokens_t = apply_perturbation(instr, action_att, ep.step_index).tokens
+            pert = apply_perturbation(instr, action_att, ep.step_index)
+            tokens_t = pert.tokens
 
         if tokens_t not in encs.nav:
             encs.nav[tokens_t] = nav.encode(nav_tape, tokens_t, instr.target_set,
@@ -256,7 +257,7 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         if attacking:
             att_tr.reward = -nav_tr.reward
         if record_trace:
-            trace.append(_trace_row(instr, ep.step_index, action_att, out, nav_tr))
+            trace.append(_trace_row(ep.step_index, pert, out, nav_tr))
         ep = ep_next
 
     nav_buf.success = ep.success
@@ -266,13 +267,13 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
                          tape=tape, trace=trace)
 
 
-def _trace_row(instr, t, action_att, out, nav_tr):
+def _trace_row(t, pert, out, nav_tr):
     row = {"t": t, "action": int(nav_tr.action), "reward": nav_tr.reward,
            "alpha_w": out.alpha_w.values.reshape(-1).copy()}
-    if action_att is not None:
-        row["attacked_position"] = instr.target_set[action_att.target_index]
-        row["attacked_target"] = action_att.target_index
-        row["substitute_token"] = instr.tokens[instr.target_set[action_att.source_index]]
+    if pert is not None:
+        row["attacked_position"] = pert.position
+        row["attacked_target"] = nav_tr.attacked_target
+        row["substitute_token"] = pert.token
     row["p_c"] = out.p_c.values.reshape(-1).copy()
     row["predicted_target"] = int(np.argmax(row["p_c"]))
     return row
@@ -296,21 +297,25 @@ def compute_returns(buf: RolloutBuffer, gamma: float):
     return returns, advantages
 
 
-def a2c_update(tape: Tape, buf: RolloutBuffer, returns, advantages,
-               policy_params: dict, value_params: dict, cfg: TrainConfig,
-               opt_state: Optional[dict] = None):
-    """One gradient step on the episode loss; returns diagnostics.
+def a2c_update(tape: Tape, episodes, policy_params: dict, value_params: dict,
+               cfg: TrainConfig, opt_state: dict):
+    """One gradient step on the loss of ``episodes``, a list of rollout
+    buffers, each scored with its own returns (``compute_returns``);
+    returns diagnostics.
 
     The scalar loss descends the value error and ascends the advantage-
     weighted log-likelihood, the policy entropy, and (for the navigator)
-    the imitation and attacked-word terms.  ``opt_state`` carries momentum
-    velocities across calls; omit it for plain steps.
+    the imitation and attacked-word terms.  Raises ``ValueError`` for a
+    transition without its taped ``dist``.  ``opt_state`` carries momentum
+    velocities across calls; a fresh ``{}`` gives a plain step.
     """
     terms = []
     diag = {"pg": 0.0, "value": 0.0, "entropy": 0.0, "il": 0.0, "aux": 0.0}
-    for tr, ret, adv in zip(buf.transitions, returns, advantages):
-        if tr.dist is None:
-            continue
+    steps = [step for buf in episodes
+             for step in zip(buf.transitions, *compute_returns(buf, cfg.gamma))]
+    if any(tr.dist is None for tr, _, _ in steps):
+        raise ValueError("a transition without its taped dist cannot be learned")
+    for tr, ret, adv in steps:
         if tr.use_rl:
             pg = dc.scale(tape, dc.cross_entropy(tape, tr.dist, tr.action),
                           cfg.rl_weight * adv)
@@ -335,13 +340,12 @@ def a2c_update(tape: Tape, buf: RolloutBuffer, returns, advantages,
             terms.append(dc.scale(tape, aux, cfg.aux_weight))
             diag["aux"] += aux.item()
     if not terms:
-        raise ValueError("no learnable transitions in buffer")
+        raise ValueError("no learnable transitions in the episodes")
     loss = dc.sum_reduce(tape, dc.concat(tape, terms, axis=0))
     dc.backward(tape, loss)
 
-    groups = [("pol.", policy_params), ("val.", value_params)]
-    updated, clips = [], {}
-    for prefix, params in groups:
+    updated = []
+    for prefix, params in (("pol.", policy_params), ("val.", value_params)):
         live = [(prefix + k, p) for k, p in params.items() if p.grad is not None]
         norm = math.sqrt(sum(float(np.sum(np.asarray(p.grad, dtype=np.float64) ** 2))
                              for _, p in live))
@@ -353,19 +357,18 @@ def a2c_update(tape: Tape, buf: RolloutBuffer, returns, advantages,
             diag["loss"] = loss.item()
             return diag
         # policy and value losses live on different scales; clip per group
-        clips[prefix] = 1.0 if not cfg.grad_clip or norm <= cfg.grad_clip \
-            else cfg.grad_clip / norm
-        updated.extend(live)
+        clip = 1.0 if not cfg.grad_clip or norm <= cfg.grad_clip else cfg.grad_clip / norm
+        updated.extend((key, p, clip) for key, p in live)
     diag["loss"] = loss.item()
-    for key, p in updated:
-        g = clips[key[:4]] * p.grad
-        if cfg.momentum and opt_state is not None:
+    for key, p, clip in updated:
+        g = clip * p.grad
+        if cfg.momentum:
             v = opt_state.get(key)
             v = g if v is None else cfg.momentum * v + g
             opt_state[key] = v
             g = v
         p.values = (p.values - cfg.lr * g).astype(p.values.dtype)
-    dc.zero_grads([p for _, p in updated])
+    dc.zero_grads([p for _, p, _ in updated])
     diag["aborted"] = False
     return diag
 
@@ -412,12 +415,12 @@ def validate_navigator(items, nav, cfg, att=None, seed=0):
     return out
 
 
-def evaluate_success(items, nav, cfg, seed=0):
+def evaluate_success(items, nav, cfg):
     """Clean greedy success rate over items with per-episode seeding."""
-    return validate_navigator(items, nav, cfg, seed=seed)["clean"]
+    return validate_navigator(items, nav, cfg)["clean"]
 
 
-def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None):
+def navigator_update(item, nav, nav_value, cfg, rng, att, opt_state):
     """One mixed update over a teacher-forced and a sampled rollout, sharing
     tape, encodings and the opponent ``att`` (as in ``rollout_episode``).
     Every navigator transition records the teacher's action, so both
@@ -428,25 +431,18 @@ def navigator_update(item, nav, nav_value, cfg, rng, att=None, opt_state=None):
     res_il = rollout_episode(item, nav, att, "nav_teacher", rng, cfg, **shared)
     res_rl = rollout_episode(item, nav, att, "nav_learn", rng, cfg,
                              nav_value=nav_value, **shared)
-    buf = RolloutBuffer(transitions=res_il.nav_buffer.transitions
-                        + res_rl.nav_buffer.transitions,
-                        success=res_rl.nav_buffer.success)
-    # the sampled transitions are the tail, so their returns are those of
-    # their own episode; the teacher-forced ones (use_rl=False) are not read
-    returns, advs = compute_returns(buf, cfg.gamma)
-    diag = a2c_update(tape, buf, returns, advs,
-                      nav.params, nav_value.params, cfg, opt_state=opt_state)
+    diag = a2c_update(tape, [res_il.nav_buffer, res_rl.nav_buffer],
+                      nav.params, nav_value.params, cfg, opt_state)
     return diag, res_rl
 
 
-def attacker_update(item, nav, att, att_value, acfg, rng, opt_state=None):
+def attacker_update(item, nav, att, att_value, acfg, rng, opt_state):
     """One attacker update against the frozen greedy navigator; ``acfg`` is
     the attacker's config (``TrainConfig.for_attacker``)."""
     res = rollout_episode(item, nav, att, "att_learn", rng, acfg,
                           att_value=att_value)
-    returns, advs = compute_returns(res.att_buffer, acfg.gamma)
-    diag = a2c_update(res.tape, res.att_buffer, returns, advs,
-                      att.params, att_value.params, acfg, opt_state=opt_state)
+    diag = a2c_update(res.tape, [res.att_buffer], att.params, att_value.params,
+                      acfg, opt_state)
     return diag, res
 
 

@@ -55,13 +55,13 @@ class WorldConfig:
     j_max: int = 5                 # max neighbors per node
 
     def __post_init__(self):
-        for name in ("n_nodes", "d_v", "horizon", "j_max"):
+        for name in ("n_nodes", "d_v", "horizon", "j_max", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # j_max: a spanning tree on n >= 3 nodes has a node of degree >= 2
         for name, lo, hi in (("n_nodes", 4, np.inf), ("j_max", 2, np.inf), ("d_v", 1, np.inf),
-                             ("horizon", 1, np.inf), ("edge_density", 0.0, 1.0),
-                             ("success_radius", 0.0, np.inf),
+                             ("horizon", 1, np.inf), ("seed", 0, np.inf),
+                             ("edge_density", 0.0, 1.0), ("success_radius", 0.0, np.inf),
                              ("feature_noise", 0.0, np.inf)):
             if not lo <= getattr(self, name) <= hi:
                 raise ValueError(f"{name} must lie in [{lo}, {hi}], got {getattr(self, name)}")

@@ -231,7 +231,8 @@ def attack_score(self, tape, enc, visual_state):
 
 def select_attack(score, mode, rng=None):
     """Greedy or sampled pick on the flat (j, k) layout, as a grid cell."""
-    p_cand = score.p_flat.values.reshape(-1)[list(score.cells)]
+    flat = score.p_flat.values.reshape(-1)[list(score.cells)]
+    p_cand = Tensor(flat.reshape(1, -1), dtype=flat.dtype)
     row = navigator.greedy_action(p_cand) if mode == "greedy" \
         else navigator.sample_action(p_cand, rng)
     return AttackAction(*divmod(score.cells[row], score.valid.shape[1]))

@@ -22,9 +22,9 @@ def vocab():
     return ins.build_vocabulary()
 
 
-def make_attacker(seed=0, dims=DIMS, vocab_size=None, dtype=np.float32):
-    vocab_size = vocab_size or len(ins.build_vocabulary())
-    return Attacker.create(np.random.default_rng(seed), vocab_size, dims, dtype=dtype)
+def make_attacker(seed=0, dims=DIMS, dtype=np.float32):
+    return Attacker.create(np.random.default_rng(seed), ins.build_vocabulary(), dims,
+                           dtype=dtype)
 
 
 def instr_of(vocab, text):
@@ -248,7 +248,7 @@ def test_attack_nll_gradients_match_finite_differences(vocab):
 def test_navigator_and_attacker_share_one_encoder(vocab):
     att = make_attacker(2)
     shared = [k for k in att.params if k == "embed" or k.startswith("enc_")]
-    nav = Navigator.create(np.random.default_rng(3), len(vocab), DIMS)
+    nav = Navigator.create(np.random.default_rng(3), vocab, DIMS)
     nav.params.update({k: att.params[k] for k in shared})
     instr = instr_of(vocab, "go to the table in the kitchen with the sofa")
     enc_nav = nav.encode(None, instr.tokens, instr.target_set)
@@ -257,6 +257,6 @@ def test_navigator_and_attacker_share_one_encoder(vocab):
     assert np.array_equal(encode_tokens(None, att.params, instr.tokens).values,
                           enc_nav.u.values)
     # both creators draw the encoder first, in the same order
-    fresh = Navigator.create(np.random.default_rng(2), len(vocab), DIMS)
+    fresh = Navigator.create(np.random.default_rng(2), vocab, DIMS)
     for k in shared:
         assert np.array_equal(fresh.params[k].values, att.params[k].values), k

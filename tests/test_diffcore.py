@@ -65,6 +65,12 @@ def test_item_rejects_non_scalars():
         Tensor(np.zeros((0, 1))).item()
 
 
+@pytest.mark.parametrize("values", [np.zeros(3), np.zeros((2, 2, 2)), 1.0, [[[1.0]]]])
+def test_tensor_refuses_values_that_are_not_2d(values):
+    with pytest.raises(EngineError, match="2-D"):
+        Tensor(values)
+
+
 def test_backward_sum_gives_ones():
     t = Tape()
     x = constant([[1.0, -2.0, 3.0, 0.5]])

@@ -5,12 +5,14 @@ from gradcheck import max_rel_error, numeric_gradient
 import legacy_ops
 import straightline as sl
 from advnav import diffcore as dc
+from advnav import instruct as ins
 from advnav.diffcore import Tape, Tensor, backward
 from advnav.navigator import (ModelDims, Navigator, encode_tokens, greedy_action,
                               sample_action)
 
 DIMS = ModelDims(d_w=8, d_v=6, d_p=5, d_h=7)
-VOCAB = 12
+VOCAB = ins.build_vocabulary()
+N_TOKENS = 12       # random token ids are drawn from the first 12 words
 
 
 def make_nav(seed=0, dims=DIMS, dtype=np.float32):
@@ -33,15 +35,15 @@ def test_encode_shapes():
 
 def test_encode_rejects_empty():
     with pytest.raises(ValueError):
-        make_nav().encode(None, ())
+        make_nav().encode(None, (), ())
 
 
 def test_swapping_identical_tokens_leaves_encoding_unchanged():
     nav = make_nav(3)
     tokens = (2, 7, 4, 7, 5)
     swapped = (2, 7, 4, 7, 5)  # positions 1 and 3 hold the same token
-    a = nav.encode(None, tokens).u.values
-    b = nav.encode(None, swapped).u.values
+    a = nav.encode(None, tokens, (1, 3)).u.values
+    b = nav.encode(None, swapped, (1, 3)).u.values
     assert np.array_equal(a, b)
 
 
@@ -55,7 +57,7 @@ def test_untaped_encode_makes_one_step_per_direction(length, monkeypatch):
         return cell(tape, params, prefix)
 
     monkeypatch.setattr(dc, "lstm_cell", recording)
-    tokens = tuple(i % VOCAB for i in range(length))
+    tokens = tuple(i % N_TOKENS for i in range(length))
     memo = {}
     for _ in range(2):     # the second encode finds every cell in the memo
         made.clear()
@@ -71,11 +73,11 @@ def test_memo_shared_encodes_of_one_word_swaps_equal_fresh_encodes(dtype):
     nav = make_nav(21, dtype=dtype)
     p = sl.np_params(nav.params)
     for length in (1, 2, 5, 40):
-        tokens = tuple(int(t) for t in rng.integers(0, VOCAB, size=length))
+        tokens = tuple(int(t) for t in rng.integers(0, N_TOKENS, size=length))
         memo = {}
-        nav.encode(None, tokens, memo=memo)
+        nav.encode(None, tokens, (0,), memo=memo)
         for pos in range(length):
-            new = (tokens[pos] + int(rng.integers(1, VOCAB))) % VOCAB
+            new = (tokens[pos] + int(rng.integers(1, N_TOKENS))) % N_TOKENS
             swapped = tokens[:pos] + (new,) + tokens[pos + 1:]
             shared = nav.encode(None, swapped, target_set=(pos,), memo=memo)
             fresh = nav.encode(None, swapped, target_set=(pos,))
@@ -149,7 +151,7 @@ def test_single_target_p_c_is_one():
 
 def test_decode_rejects_empty_views():
     nav = make_nav()
-    enc = nav.encode(None, (1, 2))
+    enc = nav.encode(None, (1, 2), (0,))
     with pytest.raises(ValueError):
         decode_step(nav, None, enc, dc.constant(np.zeros((0, DIMS.d_v))),
                     nav.initial_state())
@@ -159,7 +161,7 @@ def test_decode_rejects_empty_views():
 def test_full_step_matches_straight_line_oracle(seed):
     rng = np.random.default_rng(seed)
     nav = make_nav(seed, dtype=np.float64)
-    tokens = tuple(rng.integers(0, VOCAB, size=6))
+    tokens = tuple(rng.integers(0, N_TOKENS, size=6))
     targets = (1, 3, 4)
     enc = nav.encode(None, tokens, target_set=targets)
     views = dc.constant(rng.normal(size=(5, DIMS.d_v)), dtype=np.float64)
@@ -192,7 +194,7 @@ def test_full_step_matches_straight_line_oracle(seed):
 def test_distributions_are_simplexes():
     rng = np.random.default_rng(9)
     nav = make_nav(9)
-    enc = nav.encode(None, tuple(rng.integers(0, VOCAB, size=7)), target_set=(0, 2, 5))
+    enc = nav.encode(None, tuple(rng.integers(0, N_TOKENS, size=7)), target_set=(0, 2, 5))
     views = dc.constant(rng.normal(size=(4, DIMS.d_v)))
     alpha_v, f_v = nav.visual_attention(None, views, nav.initial_state())
     out, _ = nav.decode_with_visual(None, enc, views, f_v, nav.initial_state())
@@ -266,12 +268,11 @@ def test_greedy_and_sample_action():
 
 def test_imitation_loss_strictly_decreases_when_overfitting():
     from advnav import world as w
-    from advnav import instruct as ins
     g = w.generate_world(w.WorldConfig(seed=1))
     ep0 = w.make_episode(g, 0, int(np.argmax([w.geodesic_distance(g, 0, i)
                                               for i in range(g.n_nodes)])))
     instr = ins.generate_instruction(g, ep0, seed=0)
-    nav = Navigator.create(np.random.default_rng(0), len(ins.build_vocabulary()),
+    nav = Navigator.create(np.random.default_rng(0), ins.build_vocabulary(),
                            ModelDims(d_w=16, d_v=g.config.d_v, d_p=16, d_h=16))
 
     losses = []

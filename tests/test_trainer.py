@@ -19,6 +19,7 @@ from advnav.diffcore import Tape
 from advnav.navigator import ModelDims, Navigator
 
 DIMS = ModelDims(d_w=16, d_v=32, d_p=16, d_h=16)
+HIDDEN = tr.TrainConfig().value_hidden
 
 
 def make_items(n_worlds=2, episodes=4, seed=0):
@@ -41,8 +42,8 @@ def make_models(seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     nav = Navigator.create(rng, ins.build_vocabulary(), DIMS, dtype=dtype)
     att = Attacker.create(rng, ins.build_vocabulary(), DIMS, dtype=dtype)
-    nav_val = tr.ValueNet.create(rng, DIMS.d_v, dtype=dtype)
-    att_val = tr.ValueNet.create(rng, DIMS.d_v, dtype=dtype)
+    nav_val = tr.ValueNet.create(rng, DIMS.d_v, HIDDEN, dtype=dtype)
+    att_val = tr.ValueNet.create(rng, DIMS.d_v, HIDDEN, dtype=dtype)
     return nav, att, nav_val, att_val
 
 
@@ -97,7 +98,7 @@ def test_returns_reject_empty_buffer():
 
 def test_value_net_matches_oracle():
     rng = np.random.default_rng(0)
-    vn = tr.ValueNet.create(rng, 6, dtype=np.float64)
+    vn = tr.ValueNet.create(rng, 6, HIDDEN, dtype=np.float64)
     s = rng.normal(size=6)
     out = vn.forward(None, s)
     assert out.shape == (1, 1)
@@ -109,7 +110,7 @@ def _bandit_update(reward_for, cfg, steps=1, seed=0):
     """One-state two-action bandit built from a tiny softmax policy."""
     rng = np.random.default_rng(seed)
     logits = dc.Tensor(np.zeros((2, 1)))
-    vn = tr.ValueNet.create(rng, 2)
+    vn = tr.ValueNet.create(rng, 2, HIDDEN)
     history = []
     for _ in range(steps):
         t = Tape()
@@ -119,8 +120,7 @@ def _bandit_update(reward_for, cfg, steps=1, seed=0):
         trn = tr.Transition(action=a, reward=reward_for(a), dist=p)
         trn.value_out = vn.forward(t, np.ones(2))
         buf.transitions.append(trn)
-        returns, advs = tr.compute_returns(buf, cfg.gamma)
-        tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
+        tr.a2c_update(t, [buf], {"w": logits}, vn.params, cfg, {})
         history.append(dc.softmax(None, dc.tanh(None, logits)).values.reshape(-1))
     return logits, vn, history
 
@@ -129,16 +129,16 @@ def test_bandit_reinforces_rewarded_action():
     cfg = tr.TrainConfig(lr=0.2, entropy_weight=0.0, value_weight=0.0, il_weight=0.0)
     rng = np.random.default_rng(1)
     logits = dc.Tensor(np.zeros((2, 1)))
-    vn = tr.ValueNet.create(rng, 2)
+    vn = tr.ValueNet.create(rng, 2, HIDDEN)
     t = Tape()
     p = dc.softmax(t, dc.tanh(t, logits))
     before = p.values[0, 0]
     buf = tr.RolloutBuffer()
     trn = tr.Transition(action=0, reward=1.0, dist=p)
     buf.transitions.append(trn)
-    returns, advs = tr.compute_returns(buf, cfg.gamma)
+    _, advs = tr.compute_returns(buf, cfg.gamma)
     assert advs == [1.0]
-    tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
+    tr.a2c_update(t, [buf], {"w": logits}, vn.params, cfg, {})
     after = dc.softmax(None, dc.tanh(None, logits)).values[0, 0]
     assert after > before
 
@@ -146,7 +146,7 @@ def test_bandit_reinforces_rewarded_action():
 def test_entropy_term_alone_moves_policy_toward_uniform():
     cfg = tr.TrainConfig(lr=0.5, entropy_weight=0.1, value_weight=0.0, il_weight=0.0)
     logits = dc.Tensor(np.array([[1.5], [-1.5]]))
-    vn = tr.ValueNet.create(np.random.default_rng(0), 2)
+    vn = tr.ValueNet.create(np.random.default_rng(0), 2, HIDDEN)
 
     def entropy(vals):
         v = vals.reshape(-1)
@@ -161,8 +161,7 @@ def test_entropy_term_alone_moves_policy_toward_uniform():
         # zero advantage, zero value error: only the entropy term acts
         trn = tr.Transition(action=0, reward=0.0, dist=p)
         buf.transitions.append(trn)
-        returns, advs = tr.compute_returns(buf, cfg.gamma)
-        tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
+        tr.a2c_update(t, [buf], {"w": logits}, vn.params, cfg, {})
     final = dc.softmax(None, logits)
     ents.append(entropy(final.values))
     assert ents[-1] > ents[0]
@@ -173,7 +172,7 @@ def test_value_regression_converges_on_constant_reward():
     cfg = tr.TrainConfig(lr=0.05, entropy_weight=0.0, value_weight=1.0, il_weight=0.0)
     rng = np.random.default_rng(2)
     logits = dc.Tensor(np.zeros((2, 1)))
-    vn = tr.ValueNet.create(rng, 2)
+    vn = tr.ValueNet.create(rng, 2, HIDDEN)
     s = np.ones(2)
     for _ in range(500):
         t = Tape()
@@ -182,29 +181,39 @@ def test_value_regression_converges_on_constant_reward():
         trn = tr.Transition(action=0, reward=1.0, dist=p)
         trn.value_out = vn.forward(t, s)
         buf.transitions.append(trn)
-        returns, advs = tr.compute_returns(buf, cfg.gamma)
-        tr.a2c_update(t, buf, returns, advs, {"w": logits}, vn.params, cfg)
+        tr.a2c_update(t, [buf], {"w": logits}, vn.params, cfg, {})
     assert abs(vn.forward(None, s).item() - 1.0) < 1e-2
 
 
 def test_nan_gradient_aborts_update():
     cfg = tr.TrainConfig(lr=0.1)
     logits = dc.Tensor(np.zeros((2, 1)))
-    vn = tr.ValueNet.create(np.random.default_rng(0), 2)
+    vn = tr.ValueNet.create(np.random.default_rng(0), 2, HIDDEN)
     t = Tape()
     p = dc.softmax(t, logits)
     buf = tr.RolloutBuffer()
-    trn = tr.Transition(action=0, reward=1.0, dist=p)
+    trn = tr.Transition(action=0, reward=float("nan"), dist=p)
     trn.value_out = vn.forward(t, np.ones(2))
     buf.transitions.append(trn)
     before = logits.values.copy()
-    diag = tr.a2c_update(t, buf, [float("nan")], [float("nan")],
-                         {"w": logits}, vn.params, cfg)
+    diag = tr.a2c_update(t, [buf], {"w": logits}, vn.params, cfg, {})
     assert diag["aborted"]
     np.testing.assert_array_equal(logits.values, before)
     # the abort fires on the policy group; stale value grads would be added
     # onto by the next backward
     assert all(q.grad is None for q in [logits, *vn.params.values()])
+
+
+def test_update_refuses_a_transition_without_its_distribution():
+    logits = dc.Tensor(np.zeros((2, 1)))
+    vn = tr.ValueNet.create(np.random.default_rng(0), 2, HIDDEN)
+    t = Tape()
+    learnable = tr.Transition(action=0, reward=1.0, dist=dc.softmax(t, logits))
+    buf = tr.RolloutBuffer(transitions=[learnable, tr.Transition(action=1, reward=1.0)])
+    before = logits.values.copy()
+    with pytest.raises(ValueError, match="dist"):
+        tr.a2c_update(t, [buf], {"w": logits}, vn.params, tr.TrainConfig(), {})
+    np.testing.assert_array_equal(logits.values, before)
 
 
 def test_rollout_clean_buffers_and_zero_sum():
@@ -337,7 +346,7 @@ def test_navigator_update_runs_each_encoder_cell_once(monkeypatch):
         n = len(tokens)
         for opponent in (None, att, tr._random_attack):
             counts.update(cells=0, seqs=set(), att_encodes=0)
-            tr.navigator_update(item, nav, nav_val, cfg, rng, att=opponent)
+            tr.navigator_update(item, nav, nav_val, cfg, rng, att=opponent, opt_state={})
             swapped = len(counts["seqs"] - {tokens})
             if opponent is None:
                 assert counts["cells"] == 2 * n
@@ -361,7 +370,7 @@ def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatc
         tr.navigator_update(item, nav, nav_val, tr.TrainConfig(),
                             np.random.default_rng(5),
                             att={"clean": None, "learned": att,
-                                 "random": tr._random_attack}[opponent])
+                                 "random": tr._random_attack}[opponent], opt_state={})
         return {k: q.values - before[k] for k, q in params.items()}
 
     new = steps()
@@ -383,7 +392,7 @@ def test_navigator_update_imitates_the_teacher_on_both_rollouts(monkeypatch):
 
     monkeypatch.setattr(tr, "rollout_episode", recording)
     diag, _ = tr.navigator_update(item, nav, nav_val, tr.TrainConfig(),
-                                  np.random.default_rng(0), att=att)
+                                  np.random.default_rng(0), att=att, opt_state={})
     teacher_forced, sampled = (
         [float(-np.log(trn.dist.values.reshape(-1)[trn.teacher]))
          for trn in res.nav_buffer.transitions] for res in seen)
@@ -404,7 +413,7 @@ def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
         before = {k: q.values.copy() for k, q in params.items()}
         acfg, rng = tr.TrainConfig().for_attacker(), np.random.default_rng(5)
         for item in items:
-            tr.attacker_update(item, nav, att, att_val, acfg, rng)
+            tr.attacker_update(item, nav, att, att_val, acfg, rng, {})
         return {k: q.values - before[k] for k, q in params.items()}
 
     new = steps()
@@ -549,6 +558,7 @@ def test_train_config_rejects_out_of_range_values(field, value):
     (tr.TrainConfig, "n_iter", 1.5), (tr.TrainConfig, "value_hidden", 8.0),
     (w.WorldConfig, "n_nodes", 12.0), (w.WorldConfig, "d_v", 8.5),
     (w.WorldConfig, "horizon", 10.5), (w.WorldConfig, "j_max", 3.0),
+    (w.WorldConfig, "seed", 1.5),
     (ModelDims, "d_w", 8.0), (ModelDims, "d_v", 6.5), (ModelDims, "d_p", 5.5),
     (ModelDims, "d_h", 7.5),
 ])

@@ -253,7 +253,7 @@ def test_unspaceable_world_raises():
     ("edge_density", 1.5), ("edge_density", -0.1), ("edge_density", float("nan")),
     ("d_v", 0), ("horizon", 0), ("success_radius", -1.0), ("feature_noise", -1.0),
     ("box", -5.0), ("box", 0.0), ("box", float("nan")),
-    ("n_nodes", 3),
+    ("n_nodes", 3), ("seed", -1),
 ])
 def test_world_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
