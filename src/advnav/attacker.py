@@ -42,9 +42,8 @@ class AttackScore:
 
 
 class Attacker:
-    def __init__(self, params: dict, dims: ModelDims):
+    def __init__(self, params: dict):
         self.params = params
-        self.dims = dims
 
     @classmethod
     def create(cls, rng, vocab, dims: ModelDims, dtype=np.float32):
@@ -53,7 +52,7 @@ class Attacker:
         p["w_w"] = dc.init_uniform(rng, (d.d_w, d.d_p), dtype=dtype)
         p["w_v"] = dc.init_uniform(rng, (d.d_v, d.d_p), dtype=dtype)
         p["w_wp"] = dc.init_uniform(rng, (d.d_w, d.d_p), dtype=dtype)
-        return cls(p, dims)
+        return cls(p)
 
     @property
     def dtype(self):

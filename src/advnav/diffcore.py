@@ -270,6 +270,8 @@ def softmax(tape, x, axis=None, mask=None):
     """Full (axis=None) or per-row (axis=1) softmax; ``mask`` marks valid cells."""
     if axis not in (None, 1):
         raise EngineError(f"softmax: axis {axis}")
+    if x.values.size == 0:
+        raise EngineError(f"softmax: empty input {x.values.shape}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool).reshape(x.values.shape)
     return _apply(tape, "softmax", (x,), (axis, mask))

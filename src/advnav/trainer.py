@@ -70,7 +70,7 @@ class TrainConfig:
         for name in ("lr", "rl_weight", "entropy_weight", "value_weight",
                      "il_weight", "aux_weight", "att_lr", "att_rl_weight",
                      "att_value_weight", "att_entropy_weight", "grad_clip"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:       # refuses NaN too
                 raise ValueError(f"{name} must be non-negative")
         for name, lo in (("n_eta", 0), ("n_pi", 0), ("n_iter", 1), ("value_hidden", 1)):
             value = getattr(self, name)

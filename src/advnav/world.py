@@ -7,17 +7,19 @@ neighbor's landmark words, so that instructions mentioning those words are
 groundable against the views.  A per-node stop view embeds the node's own
 landmarks plus a global stop marker.
 
-Each node's views are stacked once, read-only.  An episode is its
-trajectory, and ``step`` returns the navigator's reward for each move; the
-trainer pays the attacker the negation, so every transition is zero-sum.
+Each node's views are stacked once, read-only, and the geodesic distances
+between all node pairs are computed once, at generation, into a read-only
+matrix; a world is frozen.  An episode is its trajectory, and ``step``
+returns the navigator's reward for each move; the trainer pays the attacker
+the negation, so every transition is zero-sum.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import heapq
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,11 +37,15 @@ LOCATION_WORDS = (
 STOP_ACTION = 0
 
 
+@functools.lru_cache(maxsize=None)
 def landmark_feature(word: str, dim: int) -> np.ndarray:
-    """Planted feature vector for a landmark word, stable across worlds."""
+    """Planted feature vector for a landmark word, stable across worlds;
+    drawn once per (word, dim) and returned read-only."""
     digest = hashlib.blake2b(word.encode(), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
-    return (rng.standard_normal(dim) / np.sqrt(dim)).astype(np.float32)
+    vec = (rng.standard_normal(dim) / np.sqrt(dim)).astype(np.float32)
+    vec.flags.writeable = False
+    return vec
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class WorldConfig:
             raise ValueError(f"box must be positive, got {self.box}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldGraph:
     config: WorldConfig
     coords: np.ndarray                      # (n, 2) float64, meters
@@ -78,7 +84,7 @@ class WorldGraph:
     edge_lengths: dict                      # (node, neighbor) -> meters
     landmarks: dict                         # node -> (object word, location word)
     views: dict                             # node -> read-only (1 + degree, d_v) float32
-    _dist_cache: dict = field(default_factory=dict, repr=False)
+    dist: np.ndarray                        # read-only (n, n) float64 geodesic meters
 
     @property
     def n_nodes(self) -> int:
@@ -152,6 +158,16 @@ def generate_world(config: WorldConfig) -> WorldGraph:
     edge_lengths = {(a, b): float(np.linalg.norm(coords[a] - coords[b]))
                     for a in range(n) for b in neighbors[a]}
 
+    # Floyd-Warshall: geodesics through intermediate nodes 0..k
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for (a, b), length in edge_lengths.items():
+        dist[a, b] = length
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    assert np.isfinite(dist).all(), "spanning-tree construction must connect the graph"
+    dist.flags.writeable = False
+
     objs = list(OBJECT_WORDS)
     locs = list(LOCATION_WORDS)
     rng.shuffle(objs)
@@ -176,21 +192,9 @@ def generate_world(config: WorldConfig) -> WorldGraph:
         views[i] = np.stack([(planted + marker + noise * base).astype(np.float32), *rows])
         views[i].flags.writeable = False
 
-    graph = WorldGraph(config=config, coords=coords, edges=sorted(edges),
-                       neighbors=neighbors, edge_lengths=edge_lengths,
-                       landmarks=landmarks, views=views)
-    assert _connected(graph), "spanning-tree construction must connect the graph"
-    return graph
-
-
-def _connected(g: WorldGraph) -> bool:
-    seen, stack = {0}, [0]
-    while stack:
-        for nbr in g.neighbors[stack.pop()]:
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    return len(seen) == g.n_nodes
+    return WorldGraph(config=config, coords=coords, edges=sorted(edges),
+                      neighbors=neighbors, edge_lengths=edge_lengths,
+                      landmarks=landmarks, views=views, dist=dist)
 
 
 def _check_nodes(g: WorldGraph, *nodes):
@@ -201,36 +205,13 @@ def _check_nodes(g: WorldGraph, *nodes):
 def geodesic_distance(g: WorldGraph, a: int, b: int) -> float:
     """Shortest-path distance in meters along graph edges."""
     _check_nodes(g, a, b)
-    if a == b:
-        return 0.0
-    dist = _dijkstra(g, a)
-    return dist[b]
-
-
-def _dijkstra(g: WorldGraph, src: int) -> np.ndarray:
-    cached = g._dist_cache.get(src)
-    if cached is not None:
-        return cached
-    dist = np.full(g.n_nodes, np.inf)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v in g.neighbors[u]:
-            nd = d + g.edge_lengths[u, v]
-            if nd < dist[v] - 1e-12:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    g._dist_cache[src] = dist
-    return dist
+    return float(g.dist[a, b])
 
 
 def _next_hop(g: WorldGraph, node: int, goal: int) -> int:
     """Index in ``g.neighbors[node]`` of the first hop of a shortest route
     to ``goal``; ties go to the lowest neighbor id (the list is sorted)."""
-    dist = _dijkstra(g, goal)
+    dist = g.dist[goal]
     nbrs = g.neighbors[node]
     return min(range(len(nbrs)),
                key=lambda i: (g.edge_lengths[node, nbrs[i]] + dist[nbrs[i]], i))

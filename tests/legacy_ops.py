@@ -25,8 +25,14 @@ The attack score looped over those lists, six ops per target, on a flat
 hands the flat joint to the trainer on the target grid, and gamma is laid
 on the grid in the model dtype, where the original padded it into an
 (L', K_max) array in float32, so float64 parity can read it.
+
+Worlds ran a lazy Dijkstra from one source at a time (``dijkstra``);
+``dijkstra_world`` gives a world those distances in place of its
+Floyd-Warshall matrix, so routes and teacher actions can be compared.
 """
 
+import dataclasses
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -244,3 +250,29 @@ def legacy_attacker(monkeypatch):
     monkeypatch.setattr(attacker.Attacker, "encode", attacker_encode)
     monkeypatch.setattr(attacker.Attacker, "attack_score", attack_score)
     monkeypatch.setattr(trainer, "select_attack", select_attack)
+
+
+def dijkstra(g, src):
+    """Geodesic meters from ``src`` to every node of world ``g``."""
+    dist = np.full(g.n_nodes, np.inf)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v in g.neighbors[u]:
+            nd = d + g.edge_lengths[u, v]
+            if nd < dist[v] - 1e-12:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def dijkstra_world(g):
+    """``g`` with row ``s`` of its distance matrix from ``dijkstra(g, s)``:
+    the numbers the lazy cache gave ``geodesic_distance(g, s, .)`` and the
+    routes toward goal ``s``."""
+    dist = np.stack([dijkstra(g, s) for s in range(g.n_nodes)])
+    dist.flags.writeable = False
+    return dataclasses.replace(g, dist=dist)

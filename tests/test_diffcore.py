@@ -160,6 +160,13 @@ def test_softmax_masked_cells_exactly_zero():
                 mask=[[True, False], [False, False]])
 
 
+@pytest.mark.parametrize("shape, axis", [((0, 1), None), ((0, 1), 1), ((1, 0), None),
+                                         ((3, 0), 1)])
+def test_softmax_refuses_an_empty_input(shape, axis):
+    with pytest.raises(EngineError, match="empty"):
+        softmax(Tape(), constant(np.zeros(shape)), axis=axis)
+
+
 def test_softmax_rows_sum_to_one_and_finite_for_large_inputs():
     rng = np.random.default_rng(0)
     x = constant(rng.uniform(-1e3, 1e3, size=(5, 7)))

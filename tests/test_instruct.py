@@ -1,9 +1,9 @@
-import importlib
-from pathlib import Path
+import hashlib
 
 import numpy as np
 import pytest
 
+import bench
 import legacy_ops
 from advnav import instruct as ins
 from advnav import world as w
@@ -131,9 +131,7 @@ def test_valid_grid_is_read_only_and_left_out_of_equality(vocab):
 
 
 @pytest.mark.parametrize("spec", ["SHORT_EVAL", "LONG"])
-def test_grid_matches_the_candidate_lists_on_bench_items(spec, monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    bench = importlib.import_module("bench")
+def test_grid_matches_the_candidate_lists_on_bench_items(spec):
     for seed in (1, 2, 3):
         for item in bench.make_items(getattr(bench, spec), seed):
             instr = item.instruction
@@ -141,6 +139,46 @@ def test_grid_matches_the_candidate_lists_on_bench_items(spec, monkeypatch):
             assert instr.valid_actions() == legacy_ops.candidate_cells(instr)
             # every bench item was built, so no legacy list may be empty
             assert instr.n_targets >= 2 and all(cands)
+
+
+def _bench_items_digest(items, seed):
+    """Hash of the items' worlds, routes and instructions, and of the
+    teacher actions, rewards and success along a seeded walk from each."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(seed)
+    for world, ep, instr in items:
+        h.update(repr((world.edges, world.landmarks, ep.goal, ep.ground_truth_path,
+                       instr.tokens, instr.target_set)).encode())
+        h.update(world.coords.tobytes())
+        for node in range(world.n_nodes):
+            h.update(world.candidate_views(node).tobytes())
+        walk = []
+        while not ep.done:
+            n_moves = len(world.neighbors[ep.current])
+            action = w.STOP_ACTION if rng.random() < 0.1 else int(rng.integers(1, n_moves + 1))
+            teacher = w.teacher_action(ep)
+            ep, reward = w.step(ep, action)
+            walk.append((teacher, action, reward))
+        h.update(repr((walk, bool(ep.success))).encode())
+    return h.hexdigest()[:16]
+
+
+BENCH_ITEM_DIGESTS = {
+    ("SHORT_EVAL", 1): "e362149fb88b7ed7",
+    ("SHORT_EVAL", 2): "980453acfaa0e990",
+    ("SHORT_EVAL", 3): "913db0cc4481659d",
+    ("LONG", 1): "f4e64d405c58a73a",
+    ("LONG", 2): "ab7291ee728e8af6",
+    ("LONG", 3): "f86d1ead367e686e",
+}
+
+
+@pytest.mark.parametrize("spec, seed", sorted(BENCH_ITEM_DIGESTS))
+def test_bench_items_reproduce_pinned_digests(spec, seed):
+    # pins the worlds' float facts too: a change to how distances are
+    # computed must keep every route, teacher action, reward and success
+    items = bench.make_items(getattr(bench, spec), seed)
+    assert _bench_items_digest(items, seed) == BENCH_ITEM_DIGESTS[spec, seed]
 
 
 def test_generate_instruction_deterministic(setup):

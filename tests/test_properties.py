@@ -2,10 +2,11 @@
 
 Every config either raises ``ValueError`` or yields a world that keeps its
 promises: connected, degree at most ``j_max``, nodes at least 2 m apart,
-read-only candidate views with a row per action, a teacher that walks to
-the goal within the horizon, episodes that are their trajectories and earn
-the paper's rewards on any walk, and instructions whose every valid attack
-swaps exactly one landmark word for another.
+read-only candidate views with a row per action, a read-only geodesic
+matrix that is a metric and gives the length of every route, a teacher that
+walks to the goal within the horizon, episodes that are their trajectories
+and earn the paper's rewards on any walk, and instructions whose every valid
+attack swaps exactly one landmark word for another.
 
 Every instruction can be attacked at every step: it has at least two targets
 and a valid cell in every target-grid row, the invariant the attacker's
@@ -50,6 +51,16 @@ def _check_world(g):
     for node, nbrs in g.neighbors.items():
         views = g.candidate_views(node)
         assert views.shape == (1 + len(nbrs), cfg.d_v) and not views.flags.writeable
+    dist = g.dist
+    assert not dist.flags.writeable and (np.diag(dist) == 0.0).all()
+    np.testing.assert_allclose(dist, dist.T, rtol=0, atol=1e-9)
+    # dist[a, b] <= dist[a, c] + dist[c, b], laid out as [a, c, b]
+    assert (dist[:, None, :] <= dist[:, :, None] + dist[None, :, :] + 1e-9).all()
+    for a in range(g.n_nodes):
+        for b in range(g.n_nodes):
+            path = w.shortest_path(g, a, b)
+            length = sum(g.edge_lengths[u, v] for u, v in zip(path, path[1:]))
+            assert dist[a, b] == pytest.approx(length, rel=1e-12, abs=0)
 
 
 def _check_teacher(g, ep):

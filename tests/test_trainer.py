@@ -1,10 +1,9 @@
 import hashlib
-import importlib
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bench
 from gradcheck import max_rel_error
 import straightline as sl
 from legacy_ops import (legacy_attacker, legacy_encoding, legacy_numerics,
@@ -428,8 +427,6 @@ def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
 def test_greedy_validation_matches_the_composed_untaped_cell(spec, monkeypatch):
     # every cell of a greedy validation is untaped: the one-call forward must
     # give the results and trace rows of the composed primitives, bit for bit
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    bench = importlib.import_module("bench")
     items = bench.make_items(getattr(bench, spec), 1)[:64]
     models = bench.make_models(("nav", "att"))
     rollout, sigmoid, fused = tr.rollout_episode, dc._sigmoid, {"steps": 0}
@@ -547,6 +544,9 @@ def test_params_digest_is_exact_for_float64():
     ("att_gamma", 1.5), ("att_gamma", -0.1), ("att_lr", -1.0),
     ("att_rl_weight", -1.0), ("att_value_weight", -0.5),
     ("att_entropy_weight", -0.01), ("value_hidden", 0),
+    *((name, float("nan")) for name in (
+        "lr", "rl_weight", "entropy_weight", "value_weight", "il_weight", "aux_weight",
+        "att_lr", "att_rl_weight", "att_value_weight", "att_entropy_weight", "grad_clip")),
 ])
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -694,8 +694,6 @@ def test_validation_matches_rollouts_with_their_own_encodings(spec, monkeypatch)
     # each item's attacked episode reuses its clean episode's encoder cells;
     # results and episodes must equal two passes of rollouts that each
     # encode afresh, bit for bit
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    bench = importlib.import_module("bench")
     items = bench.make_items(getattr(bench, spec), 1)[:64]
     models = bench.make_models(("nav", "att"))
     nav, att, cfg = models.nav, models.att, tr.TrainConfig()
@@ -737,6 +735,22 @@ def test_validation_refuses_an_empty_item_list():
             tr.validate_navigator([], nav, tr.TrainConfig(), **kwargs)
     with pytest.raises(ValueError, match="no items"):
         tr.evaluate_success([], nav, tr.TrainConfig())
+
+
+def test_success_flags_are_bools_and_rates_are_floats():
+    # numpy scalars would leak into logs and JSON as np.bool_ / np.float64
+    items = make_items()[:3]
+    nav, att, _, _ = make_models()
+    cfg = tr.TrainConfig()
+    for item in items:
+        for mode in ("nav_teacher", "eval"):
+            res = tr.rollout_episode(item, nav, att, mode, np.random.default_rng(0), cfg)
+            assert type(res.episode.success) is bool
+            assert type(res.nav_buffer.success) is bool is type(res.att_buffer.success)
+    rates = tr.validate_navigator(items, nav, cfg, att=att)
+    assert rates.keys() == {"clean", "attacked", "aux_acc"}
+    assert all(type(rate) is float for rate in rates.values())
+    assert type(tr.evaluate_success(items, nav, cfg)) is float
 
 
 def test_attacked_validation_reuses_the_clean_episodes_cells(monkeypatch):

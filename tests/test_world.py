@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
+import bench
+import legacy_ops
 from advnav import world as w
 
 
@@ -234,6 +236,39 @@ def test_landmark_features_stable_and_distinct():
     c = w.landmark_feature("kitchen", 32)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_landmark_feature_is_drawn_once_and_read_only():
+    a = w.landmark_feature("table", 32)
+    assert w.landmark_feature("table", 32) is a and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 0.0
+    assert w.landmark_feature("table", 16).shape == (16,)
+
+
+def test_world_is_frozen_with_a_read_only_distance_matrix():
+    g = small_world(seed=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.dist = g.dist.copy()
+    with pytest.raises(ValueError):
+        g.dist[0, 1] = 0.0
+    assert g.dist.shape == (g.n_nodes, g.n_nodes) and g.dist.dtype == np.float64
+    assert type(w.geodesic_distance(g, 0, 1)) is float
+
+
+@pytest.mark.parametrize("spec", ["SHORT_EVAL", "LONG"])
+def test_geodesics_match_the_legacy_dijkstra(spec):
+    # Floyd-Warshall sums the same edge lengths in another order, so distances
+    # may differ in the last bits; every route and teacher action must not
+    worlds = {id(item.world): item.world for seed in (1, 2, 3)
+              for item in bench.make_items(getattr(bench, spec), seed)}
+    for g in worlds.values():
+        old = legacy_ops.dijkstra_world(g)
+        np.testing.assert_allclose(g.dist, old.dist, rtol=1e-12, atol=0)
+        for a, b in itertools.product(range(g.n_nodes), repeat=2):
+            assert w.shortest_path(g, a, b) == w.shortest_path(old, a, b)
+            ep = w.Episode(world=g, goal=b, trajectory=(a,), ground_truth_path=())
+            assert w.teacher_action(ep) == w.teacher_action(dataclasses.replace(ep, world=old))
 
 
 def test_j_max_below_two_rejected():
