@@ -267,13 +267,16 @@ def concat(tape, tensors, axis=0):
 
 
 def softmax(tape, x, axis=None, mask=None):
-    """Full (axis=None) or per-row (axis=1) softmax; ``mask`` marks valid cells."""
+    """Full (axis=None) or per-row (axis=1) softmax; ``mask``, shaped as ``x``,
+    marks valid cells."""
     if axis not in (None, 1):
         raise EngineError(f"softmax: axis {axis}")
     if x.values.size == 0:
         raise EngineError(f"softmax: empty input {x.values.shape}")
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool).reshape(x.values.shape)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.values.shape:
+            raise EngineError(f"softmax: mask {mask.shape} for input {x.values.shape}")
     return _apply(tape, "softmax", (x,), (axis, mask))
 
 

@@ -85,16 +85,19 @@ class AttackAction(NamedTuple):
 
 @dataclass(frozen=True)
 class Instruction:
-    """Construction raises ``ValueError`` unless there are at least two
-    targets, at increasing positions of ``tokens``, and ``valid`` is an L'×L'
-    grid with a valid cell in every row and none that swaps a word for itself;
-    ``valid`` is kept as a read-only copy."""
+    """Construction raises ``ValueError`` unless ``tokens`` and ``target_set``
+    are tuples, there are at least two targets, at increasing positions of
+    ``tokens``, and ``valid`` is an L'×L' grid with a valid cell in every row
+    and none that swaps a word for itself; ``valid`` is kept as a read-only
+    copy."""
     tokens: tuple
     target_set: tuple                     # positions of object/location tokens
     # (L', L') read-only bool: cell (j, i) may put target i's word at target j
     valid: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        if not (type(self.tokens) is tuple and type(self.target_set) is tuple):
+            raise ValueError("tokens and target_set must be tuples, so an instruction hashes")
         n, valid = self.n_targets, np.array(self.valid, dtype=bool)
         if n < 2 or valid.shape != (n, n) or not valid.any(axis=1).all():
             raise ValueError(f"{n} targets and a {valid.shape} grid: an instruction needs "

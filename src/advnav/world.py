@@ -7,11 +7,13 @@ neighbor's landmark words, so that instructions mentioning those words are
 groundable against the views.  A per-node stop view embeds the node's own
 landmarks plus a global stop marker.
 
-Each node's views are stacked once, read-only, and the geodesic distances
-between all node pairs are computed once, at generation, into a read-only
-matrix; a world is frozen.  An episode is its trajectory, and ``step``
-returns the navigator's reward for each move; the trainer pays the attacker
-the negation, so every transition is zero-sum.
+A world is immutable by type and stores each fact once: node-indexed
+tuples hold the neighbor ids, landmarks and stacked views, and read-only
+arrays hold the coordinates and the geodesic distances between all node
+pairs, computed once at generation; on an edge, the distance is the edge's
+length.  An episode is its trajectory, and ``step`` returns the navigator's
+reward for each move; the trainer pays the attacker the negation, so every
+transition is zero-sum.
 """
 
 from __future__ import annotations
@@ -78,17 +80,20 @@ class WorldConfig:
 @dataclass(frozen=True)
 class WorldGraph:
     config: WorldConfig
-    coords: np.ndarray                      # (n, 2) float64, meters
-    edges: list                             # [(a, b)] with a < b
-    neighbors: dict                         # node -> sorted neighbor list
-    edge_lengths: dict                      # (node, neighbor) -> meters
-    landmarks: dict                         # node -> (object word, location word)
-    views: dict                             # node -> read-only (1 + degree, d_v) float32
-    dist: np.ndarray                        # read-only (n, n) float64 geodesic meters
+    coords: np.ndarray                      # read-only (n, 2) float64, meters
+    neighbors: tuple                        # node -> sorted tuple of int neighbor ids
+    landmarks: tuple                        # node -> (object word, location word)
+    views: tuple                            # node -> read-only (1 + degree, d_v) float32
+    dist: np.ndarray                        # read-only (n, n) geodesic meters; an edge: its length
 
     @property
     def n_nodes(self) -> int:
         return self.coords.shape[0]
+
+    @property
+    def edges(self) -> tuple:
+        """Every edge once, as (a, b) with a < b, in sorted order."""
+        return tuple((a, b) for a, nbrs in enumerate(self.neighbors) for b in nbrs if a < b)
 
     def candidate_views(self, node: int) -> np.ndarray:
         """Rows aligned with the action indexing: stop view first, then the
@@ -117,12 +122,13 @@ def generate_world(config: WorldConfig) -> WorldGraph:
             raise ValueError(f"cannot space {n} nodes 2 m apart in a "
                              f"{config.box} m box after 200 tries")
         coords[b] = rng.uniform(0.0, config.box, size=2)
+    coords.flags.writeable = False
 
-    degree = {i: 0 for i in range(n)}
-    edges = set()
+    degree = [0] * n
+    adjacent = np.zeros((n, n), dtype=bool)
 
     def connect(a, b):
-        edges.add((min(a, b), max(a, b)))
+        adjacent[a, b] = adjacent[b, a] = True
         degree[a] += 1
         degree[b] += 1
 
@@ -135,8 +141,7 @@ def generate_world(config: WorldConfig) -> WorldGraph:
         dists = [np.linalg.norm(coords[order[i]] - coords[p]) for p in usable]
         connect(int(order[i]), int(usable[int(np.argmin(dists))]))
 
-    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
-                 if (a, b) not in edges]
+    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if not adjacent[a, b]]
     extra = int(round(config.edge_density * len(all_pairs)))
     rng.shuffle(all_pairs)
     for a, b in all_pairs:
@@ -146,23 +151,14 @@ def generate_world(config: WorldConfig) -> WorldGraph:
             continue
         connect(a, b)
         extra -= 1
+    neighbors = tuple(tuple(np.flatnonzero(row).tolist()) for row in adjacent)
 
-    neighbors = {i: [] for i in range(n)}
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    for i in range(n):
-        neighbors[i].sort()
-        if not neighbors[i]:
-            raise ValueError("generated world has an isolated node")
-    edge_lengths = {(a, b): float(np.linalg.norm(coords[a] - coords[b]))
-                    for a in range(n) for b in neighbors[a]}
-
-    # Floyd-Warshall: geodesics through intermediate nodes 0..k
+    # Floyd-Warshall from the edge lengths: geodesics through nodes 0..k;
+    # an edge is a straight segment, so its distance stays its length
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for (a, b), length in edge_lengths.items():
-        dist[a, b] = length
+    for a, b in np.argwhere(adjacent):
+        dist[a, b] = np.linalg.norm(coords[a] - coords[b])
     for k in range(n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     assert np.isfinite(dist).all(), "spanning-tree construction must connect the graph"
@@ -172,33 +168,26 @@ def generate_world(config: WorldConfig) -> WorldGraph:
     locs = list(LOCATION_WORDS)
     rng.shuffle(objs)
     rng.shuffle(locs)
-    landmarks = {i: (objs[i % len(objs)], locs[i % len(locs)]) for i in range(n)}
+    landmarks = tuple((objs[i % len(objs)], locs[i % len(locs)]) for i in range(n))
 
-    noise = config.feature_noise
     d_v = config.d_v
-    views = {}
-    marker = landmark_feature("<stop-view>", d_v)
-    for i in range(n):
-        rows = []
-        for nbr in neighbors[i]:
-            planted = landmark_feature(landmarks[nbr][0], d_v) \
-                + landmark_feature(landmarks[nbr][1], d_v)
-            base = rng.standard_normal(d_v).astype(np.float32) / np.sqrt(d_v)
-            rows.append((planted + noise * base).astype(np.float32))
-        planted = landmark_feature(landmarks[i][0], d_v) \
-            + landmark_feature(landmarks[i][1], d_v)
-        base = rng.standard_normal(d_v).astype(np.float32) / np.sqrt(d_v)
-        # the stop view is drawn last but stacked first, as action 0
-        views[i] = np.stack([(planted + marker + noise * base).astype(np.float32), *rows])
-        views[i].flags.writeable = False
+    planted = np.stack([landmark_feature(obj, d_v) + landmark_feature(loc, d_v)
+                        for obj, loc in landmarks])
+    stop = planted + landmark_feature("<stop-view>", d_v)
+    views = []
+    for i, nbrs in enumerate(neighbors):
+        # a noise row per neighbor, then the stop view's: drawn last, stacked first as action 0
+        base = rng.standard_normal((len(nbrs) + 1, d_v)).astype(np.float32) / np.sqrt(d_v)
+        rows = np.vstack((stop[i], planted[list(nbrs)]))
+        views.append((rows + config.feature_noise * np.roll(base, 1, axis=0)).astype(np.float32))
+        views[-1].flags.writeable = False
 
-    return WorldGraph(config=config, coords=coords, edges=sorted(edges),
-                      neighbors=neighbors, edge_lengths=edge_lengths,
-                      landmarks=landmarks, views=views, dist=dist)
+    return WorldGraph(config=config, coords=coords, neighbors=neighbors,
+                      landmarks=landmarks, views=tuple(views), dist=dist)
 
 
 def _check_nodes(g: WorldGraph, *nodes):
-    if not all(0 <= node < g.n_nodes for node in nodes):
+    if not all(isinstance(node, numbers.Integral) and 0 <= node < g.n_nodes for node in nodes):
         raise ValueError(f"unknown node among {nodes}")
 
 
@@ -210,11 +199,10 @@ def geodesic_distance(g: WorldGraph, a: int, b: int) -> float:
 
 def _next_hop(g: WorldGraph, node: int, goal: int) -> int:
     """Index in ``g.neighbors[node]`` of the first hop of a shortest route
-    to ``goal``; ties go to the lowest neighbor id (the list is sorted)."""
-    dist = g.dist[goal]
+    to ``goal``; ties go to the lowest neighbor id (the tuple is sorted)."""
+    from_node, to_goal = g.dist[node], g.dist[goal]
     nbrs = g.neighbors[node]
-    return min(range(len(nbrs)),
-               key=lambda i: (g.edge_lengths[node, nbrs[i]] + dist[nbrs[i]], i))
+    return min(range(len(nbrs)), key=lambda i: (from_node[nbrs[i]] + to_goal[nbrs[i]], i))
 
 
 def shortest_path(g: WorldGraph, a: int, b: int) -> list:

@@ -262,7 +262,7 @@ def dijkstra(g, src):
         if d > dist[u]:
             continue
         for v in g.neighbors[u]:
-            nd = d + g.edge_lengths[u, v]
+            nd = d + float(np.linalg.norm(g.coords[u] - g.coords[v]))
             if nd < dist[v] - 1e-12:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))

@@ -160,6 +160,14 @@ def test_softmax_masked_cells_exactly_zero():
                 mask=[[True, False], [False, False]])
 
 
+@pytest.mark.parametrize("mask", [np.ones((3, 2), dtype=bool), np.ones(5, dtype=bool),
+                                  np.ones(6, dtype=bool), [[True, False, True]]])
+def test_softmax_refuses_a_mask_shaped_unlike_its_input(mask):
+    # a reshaped (3, 2) mask would put the masked cells in other places
+    with pytest.raises(EngineError, match="mask"):
+        softmax(None, constant(np.arange(6.0).reshape(2, 3)), mask=mask)
+
+
 @pytest.mark.parametrize("shape, axis", [((0, 1), None), ((0, 1), 1), ((1, 0), None),
                                          ((3, 0), 1)])
 def test_softmax_refuses_an_empty_input(shape, axis):

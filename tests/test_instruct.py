@@ -147,8 +147,9 @@ def _bench_items_digest(items, seed):
     h = hashlib.sha256()
     rng = np.random.default_rng(seed)
     for world, ep, instr in items:
-        h.update(repr((world.edges, world.landmarks, ep.goal, ep.ground_truth_path,
-                       instr.tokens, instr.target_set)).encode())
+        # the edge list and the node -> landmarks dict the pins were taken over
+        h.update(repr((list(world.edges), dict(enumerate(world.landmarks)), ep.goal,
+                       ep.ground_truth_path, instr.tokens, instr.target_set)).encode())
         h.update(world.coords.tobytes())
         for node in range(world.n_nodes):
             h.update(world.candidate_views(node).tobytes())
@@ -220,6 +221,18 @@ def test_short_path_still_attackable(setup):
     instr = ins.generate_instruction(g, ep, seed=0)
     assert instr.n_targets == 2
     assert instr.valid.tolist() == [[False, True], [True, False]]
+
+
+def test_instruction_refuses_tokens_or_targets_that_are_not_tuples(vocab):
+    # a list field would leave the frozen instruction unhashable
+    base = ins.make_instruction(toks(vocab, "walk past the table into the kitchen"), vocab)
+    for tokens, targets in ((list(base.tokens), base.target_set),
+                            (base.tokens, list(base.target_set)),
+                            (np.array(base.tokens), base.target_set)):
+        with pytest.raises(ValueError, match="tuples"):
+            ins.Instruction(tokens=tokens, target_set=targets, valid=base.valid)
+    assert hash(ins.Instruction(tokens=base.tokens, target_set=base.target_set,
+                                valid=base.valid)) == hash(base)
 
 
 def test_instruction_refuses_too_few_targets_or_a_misshapen_grid(vocab):

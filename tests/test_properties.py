@@ -3,10 +3,11 @@
 Every config either raises ``ValueError`` or yields a world that keeps its
 promises: connected, degree at most ``j_max``, nodes at least 2 m apart,
 read-only candidate views with a row per action, a read-only geodesic
-matrix that is a metric and gives the length of every route, a teacher that
-walks to the goal within the horizon, episodes that are their trajectories
-and earn the paper's rewards on any walk, and instructions whose every valid
-attack swaps exactly one landmark word for another.
+matrix that is a metric, holds each edge's exact length and gives the length
+of every route, a teacher that walks to the goal within the horizon,
+episodes that are their trajectories and earn the paper's rewards on any
+walk, and instructions whose every valid attack swaps exactly one landmark
+word for another.
 
 Every instruction can be attacked at every step: it has at least two targets
 and a valid cell in every target-grid row, the invariant the attacker's
@@ -44,14 +45,17 @@ def _connected(g):
 def _check_world(g):
     cfg = g.config
     assert _connected(g)
-    assert max(len(nbrs) for nbrs in g.neighbors.values()) <= cfg.j_max
+    assert max(len(nbrs) for nbrs in g.neighbors) <= cfg.j_max
     d = np.linalg.norm(g.coords[:, None] - g.coords[None, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 2.0
-    for node, nbrs in g.neighbors.items():
+    dist = g.dist
+    for node, nbrs in enumerate(g.neighbors):
         views = g.candidate_views(node)
         assert views.shape == (1 + len(nbrs), cfg.d_v) and not views.flags.writeable
-    dist = g.dist
+        # _next_hop reads an edge's length from the distance matrix
+        for nbr in nbrs:
+            assert dist[node, nbr] == float(np.linalg.norm(g.coords[node] - g.coords[nbr]))
     assert not dist.flags.writeable and (np.diag(dist) == 0.0).all()
     np.testing.assert_allclose(dist, dist.T, rtol=0, atol=1e-9)
     # dist[a, b] <= dist[a, c] + dist[c, b], laid out as [a, c, b]
@@ -59,7 +63,7 @@ def _check_world(g):
     for a in range(g.n_nodes):
         for b in range(g.n_nodes):
             path = w.shortest_path(g, a, b)
-            length = sum(g.edge_lengths[u, v] for u, v in zip(path, path[1:]))
+            length = sum(float(dist[u, v]) for u, v in zip(path, path[1:]))
             assert dist[a, b] == pytest.approx(length, rel=1e-12, abs=0)
 
 

@@ -13,14 +13,19 @@ def small_world(seed=0, **kw):
     return w.generate_world(w.WorldConfig(seed=seed, **kw))
 
 
+def _route_length(g, path):
+    return sum(float(np.linalg.norm(g.coords[u] - g.coords[v])) for u, v in zip(path, path[1:]))
+
+
 def test_same_seed_same_world():
     a = small_world(seed=5)
     b = small_world(seed=5)
     assert a.edges == b.edges
     assert np.array_equal(a.coords, b.coords)
-    assert a.landmarks == b.landmarks
-    for key in a.views:
-        assert np.array_equal(a.views[key], b.views[key])
+    assert a.landmarks == b.landmarks and a.neighbors == b.neighbors
+    assert len(a.views) == len(b.views) == a.n_nodes
+    for va, vb in zip(a.views, b.views):
+        assert np.array_equal(va, vb)
 
 
 def test_full_density_four_nodes_is_complete():
@@ -46,13 +51,15 @@ def test_bfs_reaches_all_nodes():
 def test_world_invariants():
     g = small_world(seed=3)
     for a, b in g.edges:
-        assert g.edge_lengths[a, b] > 0
-        assert g.edge_lengths[a, b] == g.edge_lengths[b, a] \
-            == np.linalg.norm(g.coords[a] - g.coords[b])
-    assert len(g.edge_lengths) == 2 * len(g.edges)
+        assert a < b and b in g.neighbors[a] and a in g.neighbors[b]
+        assert g.dist[a, b] > 0
+        assert g.dist[a, b] == g.dist[b, a] == np.linalg.norm(g.coords[a] - g.coords[b])
+    assert sum(map(len, g.neighbors)) == 2 * len(g.edges)
+    assert list(g.edges) == sorted(g.edges)
     for n in range(g.n_nodes):
         assert 1 <= len(g.neighbors[n]) <= g.config.j_max
-        assert g.neighbors[n] == sorted(g.neighbors[n])
+        assert list(g.neighbors[n]) == sorted(g.neighbors[n])
+        assert all(type(v) is int for v in g.neighbors[n])
     assert g.candidate_views(0).shape == (1 + len(g.neighbors[0]), g.config.d_v)
 
 
@@ -80,8 +87,7 @@ def _brute_force_distance(g, a, b):
         for mid in itertools.permutations([n for n in nodes if n not in (a, b)], r - 1):
             path = (a,) + mid + (b,)
             if all(adjacent(u, v) for u, v in zip(path, path[1:])):
-                length = sum(g.edge_lengths[u, v] for u, v in zip(path, path[1:]))
-                best = min(best, length)
+                best = min(best, _route_length(g, path))
     return best
 
 
@@ -109,8 +115,7 @@ def test_shortest_path_endpoints_and_length():
     g = small_world(seed=4)
     path = w.shortest_path(g, 0, g.n_nodes - 1)
     assert path[0] == 0 and path[-1] == g.n_nodes - 1
-    length = sum(g.edge_lengths[u, v] for u, v in zip(path, path[1:]))
-    assert length == pytest.approx(w.geodesic_distance(g, 0, g.n_nodes - 1))
+    assert _route_length(g, path) == pytest.approx(w.geodesic_distance(g, 0, g.n_nodes - 1))
 
 
 def test_stop_action_finishes_immediately():
@@ -220,6 +225,17 @@ def test_episode_endpoints_outside_the_world_rejected(start, goal):
         w.make_episode(small_world(seed=0), start, goal)
 
 
+def test_non_integer_nodes_rejected():
+    g = small_world(seed=0)
+    for call in (lambda: w.geodesic_distance(g, 1.5, 0), lambda: w.make_episode(g, 0, 2.0),
+                 lambda: w.shortest_path(g, 1.5, 3), lambda: w.geodesic_distance(g, 0, "1")):
+        with pytest.raises(ValueError, match="unknown node"):
+            call()
+    # numpy integers are integers
+    assert w.geodesic_distance(g, np.int64(1), 0) == w.geodesic_distance(g, 1, 0)
+    assert w.shortest_path(g, np.int32(0), 5) == w.shortest_path(g, 0, 5)
+
+
 def test_teacher_reaches_goal():
     g = small_world(seed=9)
     ep = w.make_episode(g, 0, g.n_nodes - 1)
@@ -227,7 +243,7 @@ def test_teacher_reaches_goal():
         ep, _ = w.step(ep, w.teacher_action(ep))
     assert ep.current == ep.goal
     assert w.geodesic_distance(g, ep.start, ep.goal) == pytest.approx(
-        sum(g.edge_lengths[u, v] for u, v in zip(ep.trajectory, ep.trajectory[1:])))
+        _route_length(g, ep.trajectory))
 
 
 def test_landmark_features_stable_and_distinct():
@@ -254,6 +270,21 @@ def test_world_is_frozen_with_a_read_only_distance_matrix():
         g.dist[0, 1] = 0.0
     assert g.dist.shape == (g.n_nodes, g.n_nodes) and g.dist.dtype == np.float64
     assert type(w.geodesic_distance(g, 0, 1)) is float
+
+
+def test_world_fields_cannot_be_written_in_place():
+    g = small_world(seed=3)
+    assert not any(isinstance(getattr(g, f.name), (dict, list)) for f in dataclasses.fields(g))
+    for array, index in ((g.coords, (0, 0)), (g.dist, (0, 1)), (g.views[0], (0, 0))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[index] = 0.0
+    with pytest.raises(AttributeError):
+        g.neighbors[0].append(5)
+    with pytest.raises(TypeError):
+        g.neighbors[0][0] = 5
+    for per_node in (g.neighbors, g.landmarks, g.views):
+        with pytest.raises(TypeError):
+            per_node[0] = per_node[1]
 
 
 @pytest.mark.parametrize("spec", ["SHORT_EVAL", "LONG"])
