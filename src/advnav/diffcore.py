@@ -3,7 +3,7 @@
 The engine is deliberately tiny.  A ``Tensor`` wraps a numpy array plus an
 optional same-shape gradient, and a ``Tape`` records every primitive
 application in execution order.  Walking a tape backwards leaves each
-tensor's gradient on its own ``.grad``, intermediates and leaves alike.
+gradient the loss reaches on its tensor's own ``.grad``, intermediates and leaves alike.
 Gradient arrays may be shared between tensors (``add`` hands one array to
 both inputs), so they are read-only: replace ``.grad``, never write into it.
 
@@ -446,10 +446,10 @@ def backward(tape, loss):
     Tensors the tape produced get their grads overwritten per call; tensors
     it did not produce (leaves: parameters, constants) add onto the grads
     they hold, across fan-out and across calls; reset them with
-    ``zero_grads``.  Inputs that do not contribute to the loss end with zero
-    grads.  Accumulation is always out of place, because ``add`` and
-    ``concat`` hand one array (or views of it) to several tensors: the grad
-    arrays are shared and read-only.
+    ``zero_grads``.  A tensor the loss does not reach is left ``None`` or,
+    for a leaf, with the grad it had.  Accumulation is always out of place,
+    because ``add`` and ``concat`` hand one array (or views of it) to
+    several tensors: the grad arrays are shared and read-only.
     """
     if loss.values.size != 1:
         raise EngineError(f"backward: loss must be scalar, got shape {loss.values.shape}")
@@ -469,10 +469,6 @@ def backward(tape, loss):
             # a fresh sum, never +=: gi and t.grad may be shared arrays
             gi = gi.astype(t.values.dtype, copy=False)
             t.grad = gi if t.grad is None else t.grad + gi
-    for _, inputs, _, _ in tape.entries:
-        for t in inputs:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.values)
 
 
 def zero_grads(params):

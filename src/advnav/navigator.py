@@ -5,9 +5,9 @@ Per step the decoder attends over the candidate views with its previous
 fused state, feeds the attended visual feature plus the previous action
 feature through a gated recurrence, attends over the encoded instruction
 with the fresh hidden state, fuses both into the visual-and-instruction
-aware state, and scores the candidate actions against it.  The same fused
-state combined with the target-word features yields a distribution over
-which target word was attacked.
+aware state, and scores the candidate actions against it.  Only on an
+attacked step does the caller combine the same fused state with the target-
+word features into a distribution over which target word was attacked.
 
 All attention layouts follow the row-vector convention: features are rows,
 projections are (in, out) matrices, and bilinear scores are per-row dot
@@ -60,7 +60,6 @@ class NavState:
 class NavStepOutput:
     alpha_w: Tensor           # attention over instruction tokens
     p_n: Tensor               # action distribution over stop + neighbors
-    p_c: Tensor               # attacked-word distribution over targets
 
 
 def init_encoder_params(rng, vocab, d_w, dtype=np.float32) -> dict:
@@ -169,7 +168,8 @@ class Navigator:
     def decode_with_visual(self, tape, enc: EncodedInstruction, views: Tensor,
                            f_v: Tensor, state: NavState):
         """Finish a step given the attended visual feature ``f_v`` from
-        ``visual_attention``; the returned state still needs ``with_action``."""
+        ``visual_attention``; the returned state still needs ``with_action``,
+        and its ``h_tilde`` feeds ``predict_attacked_word`` on attacked steps."""
         p = self.params
         x = dc.concat(tape, [f_v, state.prev_action], axis=1)
         h, cell = dc.lstm_cell(tape, p, "dec.")(x, state.h_tilde, state.cell)
@@ -180,8 +180,7 @@ class Navigator:
             tape, dc.concat(tape, [f_w_att, h], axis=1), p["w_hp"]))
         p_n = dc.softmax(tape, dc.rowdot(
             tape, dc.matmul(tape, views, p["w_a"]), h_tilde))
-        p_c = self.predict_attacked_word(tape, h_tilde, enc.f_w)
-        out = NavStepOutput(alpha_w=alpha_w, p_n=p_n, p_c=p_c)
+        out = NavStepOutput(alpha_w=alpha_w, p_n=p_n)
         return out, NavState(h_tilde=h_tilde, cell=cell, prev_action=None)
 
     def predict_attacked_word(self, tape, h_tilde: Tensor, f_w: Tensor) -> Tensor:

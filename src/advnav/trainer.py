@@ -171,8 +171,9 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
     shortest-path teacher, 'att_learn' tapes and samples the learned
     attacker (navigator frozen and greedy), and 'eval' freezes both.  Each
     step records the attacker's move, then the navigator's, as each is
-    made.  The navigator is paid what ``world.step`` returns, the attacker
-    its negation, and both buffers' success is the last episode's.
+    made; ``p_c`` and its trace keys appear only on attacked steps.  The
+    navigator is paid what ``world.step`` returns, the attacker its
+    negation, and both buffers' success is the last episode's.
     'att_learn' refuses any opponent but an ``Attacker``, and the sampling
     modes need their player's value net.
     Passing ``tape`` lets several rollouts share one update, and passing
@@ -235,8 +236,9 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         if tokens_t not in encs.nav:
             encs.nav[tokens_t] = nav.encode(nav_tape, tokens_t, instr.target_set,
                                             memo=encs.memo)
-        out, proto = nav.decode_with_visual(nav_tape, encs.nav[tokens_t], views,
-                                            f_v, state)
+        enc = encs.nav[tokens_t]
+        out, proto = nav.decode_with_visual(nav_tape, enc, views, f_v, state)
+        p_c = None if pert is None else nav.predict_attacked_word(nav_tape, proto.h_tilde, enc.f_w)
         teacher = wd.teacher_action(ep)
         nav_tr = Transition(
             action=teacher, reward=0.0, teacher=teacher, use_rl=nav_pick != "teacher",
@@ -245,7 +247,7 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
             nav_tr.action = greedy_action(out.p_n)
         else:
             nav_tr.dist = out.p_n
-            nav_tr.p_c = None if action_att is None else out.p_c
+            nav_tr.p_c = p_c
         if nav_pick == "sample":
             nav_tr.action = sample_action(out.p_n, rng)
             nav_tr.value_out = nav_value.forward(nav_tape, s_t)
@@ -257,7 +259,7 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         if attacking:
             att_tr.reward = -nav_tr.reward
         if record_trace:
-            trace.append(_trace_row(ep.step_index, pert, out, nav_tr))
+            trace.append(_trace_row(ep.step_index, pert, out, p_c, nav_tr))
         ep = ep_next
 
     nav_buf.success = ep.success
@@ -267,15 +269,15 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
                          tape=tape, trace=trace)
 
 
-def _trace_row(t, pert, out, nav_tr):
+def _trace_row(t, pert, out, p_c, nav_tr):
     row = {"t": t, "action": int(nav_tr.action), "reward": nav_tr.reward,
            "alpha_w": out.alpha_w.values.reshape(-1).copy()}
     if pert is not None:
         row["attacked_position"] = pert.position
         row["attacked_target"] = nav_tr.attacked_target
         row["substitute_token"] = pert.token
-    row["p_c"] = out.p_c.values.reshape(-1).copy()
-    row["predicted_target"] = int(np.argmax(row["p_c"]))
+        row["p_c"] = p_c.values.reshape(-1).copy()
+        row["predicted_target"] = int(np.argmax(row["p_c"]))
     return row
 
 
@@ -306,8 +308,9 @@ def a2c_update(tape: Tape, episodes, policy_params: dict, value_params: dict,
     The scalar loss descends the value error and ascends the advantage-
     weighted log-likelihood, the policy entropy, and (for the navigator)
     the imitation and attacked-word terms.  Raises ``ValueError`` for a
-    transition without its taped ``dist``.  ``opt_state`` carries momentum
-    velocities across calls; a fresh ``{}`` gives a plain step.
+    transition without its taped ``dist``.  Every parameter of both groups
+    is stepped, on a zero grad where the loss did not reach it, with
+    momentum from ``opt_state`` (a fresh ``{}`` gives a plain step).
     """
     terms = []
     diag = {"pg": 0.0, "value": 0.0, "entropy": 0.0, "il": 0.0, "aux": 0.0}
@@ -346,9 +349,10 @@ def a2c_update(tape: Tape, episodes, policy_params: dict, value_params: dict,
 
     updated = []
     for prefix, params in (("pol.", policy_params), ("val.", value_params)):
-        live = [(prefix + k, p) for k, p in params.items() if p.grad is not None]
-        norm = math.sqrt(sum(float(np.sum(np.asarray(p.grad, dtype=np.float64) ** 2))
-                             for _, p in live))
+        grads = [(prefix + k, p, np.zeros_like(p.values) if p.grad is None else p.grad)
+                 for k, p in params.items()]
+        norm = math.sqrt(sum(float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+                             for _, _, g in grads))
         diag["grad_norm" if prefix == "pol." else "value_grad_norm"] = norm
         if not math.isfinite(norm):
             # drop both groups' grads, or the next backward adds onto them
@@ -358,10 +362,9 @@ def a2c_update(tape: Tape, episodes, policy_params: dict, value_params: dict,
             return diag
         # policy and value losses live on different scales; clip per group
         clip = 1.0 if not cfg.grad_clip or norm <= cfg.grad_clip else cfg.grad_clip / norm
-        updated.extend((key, p, clip) for key, p in live)
+        updated.extend((key, p, clip * g) for key, p, g in grads)
     diag["loss"] = loss.item()
-    for key, p, clip in updated:
-        g = clip * p.grad
+    for key, p, g in updated:
         if cfg.momentum:
             v = opt_state.get(key)
             v = g if v is None else cfg.momentum * v + g

@@ -77,7 +77,7 @@ class WorldConfig:
             raise ValueError(f"box must be positive, got {self.box}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # a world equals only itself
 class WorldGraph:
     config: WorldConfig
     coords: np.ndarray                      # read-only (n, 2) float64, meters

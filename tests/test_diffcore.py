@@ -95,14 +95,17 @@ def test_backward_rejects_non_scalar_loss():
         backward(t, y)
 
 
-def test_non_contributing_inputs_get_zero_grad():
+def test_inputs_the_loss_never_reaches_keep_their_grad():
     t = Tape()
     x = constant([[1.0, 2.0]])
     y = constant([[3.0, 4.0]])
-    tanh(t, y)  # dead branch
+    z = constant([[5.0, 6.0]])
+    z.grad = np.array([[7.0, 8.0]], dtype=np.float32)
+    dead = tanh(t, add(t, y, z))  # dead branch
     loss = sum_reduce(t, multiply(t, x, x))
     backward(t, loss)
-    np.testing.assert_array_equal(y.grad, np.zeros((1, 2), dtype=np.float32))
+    assert y.grad is None and dead.grad is None
+    np.testing.assert_array_equal(z.grad, [[7.0, 8.0]])
     np.testing.assert_allclose(x.grad, 2 * x.values, rtol=1e-6)
 
 

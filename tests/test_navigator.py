@@ -184,7 +184,8 @@ def test_full_step_matches_straight_line_oracle(seed):
         np.testing.assert_allclose(new_state.h_tilde.values, ref["h_tilde"], atol=1e-6)
         np.testing.assert_allclose(new_state.cell.values, ref["cell"], atol=1e-6)
         np.testing.assert_allclose(out.p_n.values, ref["p_n"].reshape(-1, 1), atol=1e-6)
-        np.testing.assert_allclose(out.p_c.values, ref["p_c"].reshape(-1, 1), atol=1e-6)
+        p_c = nav.predict_attacked_word(None, new_state.h_tilde, enc.f_w)
+        np.testing.assert_allclose(p_c.values, ref["p_c"].reshape(-1, 1), atol=1e-6)
         action = 1 + (step % (views.values.shape[0] - 1))
         state = nav.with_action(new_state, views, action)
         h_tilde, cell = ref["h_tilde"], ref["cell"]
@@ -197,8 +198,9 @@ def test_distributions_are_simplexes():
     enc = nav.encode(None, tuple(rng.integers(0, N_TOKENS, size=7)), target_set=(0, 2, 5))
     views = dc.constant(rng.normal(size=(4, DIMS.d_v)))
     alpha_v, f_v = nav.visual_attention(None, views, nav.initial_state())
-    out, _ = nav.decode_with_visual(None, enc, views, f_v, nav.initial_state())
-    for dist in (alpha_v, out.alpha_w, out.p_n, out.p_c):
+    out, state = nav.decode_with_visual(None, enc, views, f_v, nav.initial_state())
+    p_c = nav.predict_attacked_word(None, state.h_tilde, enc.f_w)
+    for dist in (alpha_v, out.alpha_w, out.p_n, p_c):
         vals = dist.values.reshape(-1)
         assert abs(vals.sum() - 1.0) < 1e-6
         assert np.all(vals >= 0)
@@ -242,9 +244,10 @@ def test_step_gradients_match_finite_differences():
     def run():
         t = Tape()
         enc = nav.encode(t, tokens, target_set=(1, 3))
-        out, _ = decode_step(nav, t, enc, views, nav.initial_state())
+        out, state = decode_step(nav, t, enc, views, nav.initial_state())
+        p_c = nav.predict_attacked_word(t, state.h_tilde, enc.f_w)
         loss = dc.add(t, dc.cross_entropy(t, out.p_n, 1),
-                      dc.cross_entropy(t, out.p_c, 0))
+                      dc.cross_entropy(t, p_c, 0))
         return t, loss
 
     t, loss = run()
@@ -295,6 +298,7 @@ def test_imitation_loss_strictly_decreases_when_overfitting():
         losses.append(loss.item())
         backward(t, loss)
         for p in nav.params.values():
-            p.values = (p.values - 0.05 * p.grad).astype(p.values.dtype)
+            if p.grad is not None:      # the attacked-word head never ran
+                p.values = (p.values - 0.05 * p.grad).astype(p.values.dtype)
         dc.zero_grads(nav.params)
     assert all(b < a for a, b in zip(losses, losses[1:])), losses

@@ -203,6 +203,43 @@ def test_nan_gradient_aborts_update():
     assert all(q.grad is None for q in [logits, *vn.params.values()])
 
 
+def test_update_steps_every_parameter_even_one_the_tape_never_reached():
+    # a2c_update, not backward, decides what an update steps: a parameter
+    # the loss left without a grad still takes its momentum step
+    cfg = tr.TrainConfig(lr=0.1)
+    logits = dc.Tensor(np.zeros((2, 1)))
+    unused = dc.Tensor(np.ones((1, 3)))
+    vn = tr.ValueNet.create(np.random.default_rng(0), 2, HIDDEN)
+    v = np.array([[0.5, -0.25, 2.0]], dtype=np.float32)
+    opt_state = {"pol.unused": v}
+    t = Tape()
+    buf = tr.RolloutBuffer(transitions=[
+        tr.Transition(action=0, reward=1.0, dist=dc.softmax(t, logits))])
+    tr.a2c_update(t, [buf], {"w": logits, "unused": unused}, vn.params, cfg, opt_state)
+    np.testing.assert_array_equal(opt_state["pol.unused"], cfg.momentum * v)
+    np.testing.assert_array_equal(unused.values, 1.0 - cfg.lr * (cfg.momentum * v))
+    assert unused.grad is None
+    assert set(opt_state) == {"pol.w", "pol.unused", *("val." + k for k in vn.params)}
+
+
+def test_clean_update_after_an_attacked_one_carries_the_head_on_momentum():
+    # a clean update never runs the attacked-word head, so its parameters
+    # move by their velocity alone
+    items = bench.make_items(bench.SHORT, 1)
+    models = bench.make_models(("nav", "att", "nav_value"))
+    nav, cfg, rng, opt_state = models.nav, tr.TrainConfig(), np.random.default_rng(0), {}
+    tr.navigator_update(items[0], nav, models.nav_value, cfg, rng, att=models.att,
+                        opt_state=opt_state)
+    head = {k: (nav.params[k].values.copy(), opt_state["pol." + k].copy())
+            for k in ("w_e", "w_h")}
+    assert all(np.any(v != 0) for _, v in head.values())
+    tr.navigator_update(items[1], nav, models.nav_value, cfg, rng, att=None,
+                        opt_state=opt_state)
+    for k, (before, v) in head.items():
+        np.testing.assert_array_equal(nav.params[k].values,
+                                      before - cfg.lr * (cfg.momentum * v))
+
+
 def test_update_refuses_a_transition_without_its_distribution():
     logits = dc.Tensor(np.zeros((2, 1)))
     vn = tr.ValueNet.create(np.random.default_rng(0), 2, HIDDEN)
@@ -489,6 +526,31 @@ def test_rollout_trace_prediction_matches_p_c():
                              record_trace=True)
     for row in res.trace:
         assert row["predicted_target"] == int(np.argmax(row["p_c"]))
+
+
+@pytest.mark.parametrize("mode", ["eval", "nav_teacher", "nav_learn", "att_learn"])
+def test_only_attacked_steps_run_the_reasoning_head(mode, monkeypatch):
+    # the attacked-word head has a label only where a word was swapped
+    items = make_items()[:3]
+    nav, att, nav_val, att_val = make_models()
+    calls, predict = [], Navigator.predict_attacked_word
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return predict(self, *args, **kwargs)
+
+    monkeypatch.setattr(Navigator, "predict_attacked_word", counting)
+    opponents = [att] if mode == "att_learn" else [None, att, tr._random_attack]
+    for item in items:
+        for opponent in opponents:
+            calls.clear()
+            res = tr.rollout_episode(item, nav, opponent, mode, np.random.default_rng(0),
+                                     tr.TrainConfig(), nav_value=nav_val,
+                                     att_value=att_val, record_trace=True)
+            attacked = opponent is not None
+            assert len(calls) == attacked * len(res.nav_buffer.transitions)
+            assert all(("p_c" in row) == ("predicted_target" in row) == attacked
+                       for row in res.trace)
 
 
 def test_aux_labels_equal_attacker_actions():
@@ -876,13 +938,13 @@ def _rollout_fingerprint(res):
 
 
 ROLLOUT_FINGERPRINTS = {
-    ("eval", "clean"): ["2abb268d4f2022a0", "b61fc8798cdc8d5e", "3d1e5b0e3aa2d6f7"],
+    ("eval", "clean"): ["4f4afe8151771694", "15b160e2639fcfc2", "6fd23bfaac435333"],
     ("eval", "learned"): ["75c6c092c5cc966e", "657f4c909683dfaa", "0b6e04f202bae453"],
     ("eval", "random"): ["c61efea3e88a272e", "1e85beeef063a1c1", "63345489e896539a"],
-    ("nav_learn", "clean"): ["18a6cbddc8ab873e", "2623e18c398f299c", "be44b21b1b830487"],
+    ("nav_learn", "clean"): ["94715777de68f0cd", "e638949b9c3ca006", "99d5653ba4597efd"],
     ("nav_learn", "learned"): ["be5794a4b55084ae", "6f64fe62763a0bb7", "37b056a76aa2c695"],
     ("nav_learn", "random"): ["d2df6112ca508419", "60c292a5bcd72a49", "cfb03b3d333b5f2a"],
-    ("nav_teacher", "clean"): ["aa0c53c4acd50b5d", "a2650a5fe21cba5a", "0033a7e36cd8efc1"],
+    ("nav_teacher", "clean"): ["cfd4589d39634b76", "0eb39f4cdcd42d11", "3ba362e01736d6be"],
     ("nav_teacher", "learned"): ["24523ae456677b41", "e1f672a3b0868f53", "a0d46796467cbb20"],
     ("nav_teacher", "random"): ["18a4c74ba6d7b633", "3df4fbeb28eee3f5", "11f6e349d3bf3523"],
     ("att_learn", "learned"): ["7aea27b3d1433a44", "a0f3195b8b8fa7d6", "06b0aafa9de087ec"],
@@ -893,7 +955,9 @@ ROLLOUT_FINGERPRINTS = {
 def test_rollouts_reproduce_pinned_fingerprints(mode, opponent):
     # every mode with every opponent it accepts, pinned (numpy 2.4.6, OpenBLAS,
     # x86-64) before the step loop was reorganised: the rollouts must record
-    # the same moves, bit for bit
+    # the same moves, bit for bit.  The clean pins have no attacked-word head
+    # on their steps: 4 fewer tape entries a step and no p_c/predicted_target
+    # trace keys, with every move and every other trace value unchanged
     items = make_items()[:3]
     nav, att, nav_val, att_val = make_models()
     values = {"nav_learn": dict(nav_value=nav_val), "att_learn": dict(att_value=att_val)}

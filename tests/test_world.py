@@ -219,6 +219,16 @@ def test_episode_is_its_trajectory():
     assert not ep.success   # not over yet
 
 
+def test_worlds_and_episodes_compare_and_hash():
+    # a world equals only itself, so two builds of one seed are two worlds
+    a, b = small_world(seed=0), small_world(seed=0)
+    assert a == a and a != b and hash(a) == hash(a)
+    ep_a, ep_b = w.make_episode(a, 0, 5), w.make_episode(b, 0, 5)
+    assert ep_a == w.make_episode(a, 0, 5) and ep_a != ep_b
+    assert hash(ep_a) == hash(w.make_episode(a, 0, 5))
+    assert len({ep_a, ep_b, w.step(ep_a, 1)[0]}) == 3
+
+
 @pytest.mark.parametrize("start,goal", [(0, 99), (-1, 3), (12, 0), (0, -5)])
 def test_episode_endpoints_outside_the_world_rejected(start, goal):
     with pytest.raises(ValueError, match="unknown node"):
