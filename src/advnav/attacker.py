@@ -9,7 +9,8 @@ word-importance distribution over targets is driven by the current
 attended visual feature, a per-row substitution-impact distribution runs
 over each target's valid cells, and the joint distribution over the grid
 comes from the elementwise product of the two.  Cells off ``valid`` carry
-exactly zero probability."""
+exactly zero probability.  The model only scores: the rollout picks the
+cell from that distribution by the navigator's rule."""
 
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tape, Tensor
-from .instruct import AttackAction, Instruction
-from .navigator import (ModelDims, encode_tokens, greedy_action,
-                        init_encoder_params, sample_action)
+from .instruct import Instruction
+from .navigator import ModelDims, encode_tokens, init_encoder_params
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class AttackerEncoding:
 @dataclass(frozen=True)
 class AttackScore:
     """One step's scores over the target grid; cell (j, i) of ``gamma`` and
-    of ``p_flat`` is ``AttackAction(j, i)``."""
+    of ``p_flat`` is ``AttackAction(j, i)``.  It holds no pick: the rollout
+    takes one from ``p_flat``."""
     beta: np.ndarray           # (L',) word importance
     gamma: np.ndarray          # (L', L') substitution impact in the model dtype
     valid: np.ndarray          # (L', L') bool mask of real cells
@@ -83,15 +84,3 @@ class Attacker:
         p_flat = dc.softmax(tape, joint, mask=valid)
         return AttackScore(beta=beta.values.reshape(-1).copy(), gamma=gamma.values,
                            valid=valid, p_flat=p_flat)
-
-
-def select_attack(score: AttackScore, mode: str, rng=None) -> AttackAction:
-    """Pick a grid cell (j, i): argmax for greedy (ties to the lowest flat
-    grid index), a draw from the joint distribution for sampling."""
-    if mode == "greedy":
-        row = greedy_action(score.p_flat)
-    elif mode == "sample":
-        row = sample_action(score.p_flat, rng)
-    else:
-        raise ValueError(f"unknown selection mode {mode!r}")
-    return AttackAction(*divmod(row, score.valid.shape[1]))

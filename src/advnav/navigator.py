@@ -114,9 +114,8 @@ def encode_tokens(tape: Optional[Tape], params: dict, tokens,
 class Navigator:
     """Bundles the parameter dict with the forward passes."""
 
-    def __init__(self, params: dict, dims: ModelDims):
+    def __init__(self, params: dict):
         self.params = params
-        self.dims = dims
 
     @classmethod
     def create(cls, rng, vocab, dims: ModelDims, dtype=np.float32):
@@ -132,7 +131,7 @@ class Navigator:
         p["w_e"] = dc.init_uniform(rng, (d.d_w, d.d_p), dtype=dtype)
         p["w_h"] = dc.init_uniform(rng, (d.d_h, d.d_p), dtype=dtype)
         p["a0"] = dc.init_uniform(rng, (1, d.d_v), fan_in=d.d_v, dtype=dtype)
-        return cls(p, dims)
+        return cls(p)
 
     @property
     def dtype(self):
@@ -151,8 +150,9 @@ class Navigator:
     # -- decoder ------------------------------------------------------------
 
     def initial_state(self) -> NavState:
-        return NavState(h_tilde=dc.zeros((1, self.dims.d_h), dtype=self.dtype),
-                        cell=dc.zeros((1, self.dims.d_h), dtype=self.dtype),
+        d_h = self.params["dec.bi"].shape[1]     # the decoder's width
+        return NavState(h_tilde=dc.zeros((1, d_h), dtype=self.dtype),
+                        cell=dc.zeros((1, d_h), dtype=self.dtype),
                         prev_action=self.params["a0"])
 
     def visual_attention(self, tape, views: Tensor, state: NavState):

@@ -30,10 +30,10 @@ import numpy as np
 
 from . import diffcore as dc
 from . import world as wd
-from .attacker import Attacker, AttackerEncoding, select_attack
+from .attacker import Attacker, AttackerEncoding
 from .checkpoint import params_digest
 from .diffcore import Tape, Tensor
-from .instruct import Instruction, apply_perturbation
+from .instruct import AttackAction, Instruction, apply_perturbation
 from .navigator import Navigator, greedy_action, sample_action
 
 
@@ -108,8 +108,8 @@ class ValueNet:
 
 @dataclass
 class Transition:
-    action: int     # the navigator's action, or the attacker's grid cell j * L' + i
-                    # read row-major as ``p_flat`` is: either way it indexes ``dist``
+    action: int     # the navigator's action, or the attacker's flat cell j * L' + i
+                    # picked from ``p_flat``: either way it indexes ``dist``
     reward: float
     dist: Optional[Tensor] = None        # taped distribution for the learner
     value_out: Optional[Tensor] = None   # the critic's estimate, when one ran
@@ -169,11 +169,15 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
     samples the navigator (the opponent is frozen and greedy),
     'nav_teacher' tapes the navigator but follows and supervises the
     shortest-path teacher, 'att_learn' tapes and samples the learned
-    attacker (navigator frozen and greedy), and 'eval' freezes both.  Each
-    step records the attacker's move, then the navigator's, as each is
-    made; ``p_c`` and its trace keys appear only on attacked steps.  The
-    navigator is paid what ``world.step`` returns, the attacker its
-    negation, and both buffers' success is the last episode's.
+    attacker (navigator frozen and greedy), and 'eval' freezes both.  Both
+    players pick alike, a draw when learning and else the argmax (ties to
+    the lowest index); the learned attacker picks from ``p_flat``, and its
+    transition records the flat cell j * L' + i, as a function opponent's
+    does.  Each step records the attacker's move, then the navigator's, as
+    each is made; ``p_c`` runs only on attacked steps, for a taped
+    navigator or a trace.  The navigator is paid what ``world.step``
+    returns, the attacker its negation, and both buffers' success is the
+    last episode's.
     'att_learn' refuses any opponent but an ``Attacker``, and the sampling
     modes need their player's value net.
     Passing ``tape`` lets several rollouts share one update, and passing
@@ -221,11 +225,13 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         if attacking:
             if learned:
                 score = att.attack_score(att_tape, encs.att, s_t)
-                action_att = select_attack(score, "sample" if att_learns else "greedy", rng)
+                cell = sample_action(score.p_flat, rng) if att_learns \
+                    else greedy_action(score.p_flat)
+                action_att = AttackAction(*divmod(cell, instr.n_targets))
             else:
                 action_att = att(instr, rng)
-            j, i = action_att
-            att_tr = Transition(action=j * instr.n_targets + i, reward=0.0)
+                cell = action_att.target_index * instr.n_targets + action_att.source_index
+            att_tr = Transition(action=cell, reward=0.0)
             if att_learns:
                 att_tr.dist = score.p_flat
                 att_tr.value_out = att_value.forward(att_tape, s_t)
@@ -238,7 +244,8 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
                                             memo=encs.memo)
         enc = encs.nav[tokens_t]
         out, proto = nav.decode_with_visual(nav_tape, enc, views, f_v, state)
-        p_c = None if pert is None else nav.predict_attacked_word(nav_tape, proto.h_tilde, enc.f_w)
+        reads_p_c = pert is not None and (nav_tape is not None or record_trace)
+        p_c = nav.predict_attacked_word(nav_tape, proto.h_tilde, enc.f_w) if reads_p_c else None
         teacher = wd.teacher_action(ep)
         nav_tr = Transition(
             action=teacher, reward=0.0, teacher=teacher, use_rl=nav_pick != "teacher",

@@ -20,11 +20,15 @@ and attacks were (target, candidate) pairs (j, k) into them.
 ``candidate_cells`` reads those pairs as target-grid cells (j, i).
 
 The attack score looped over those lists, six ops per target, on a flat
-(sum K_j, 1) layout of the valid cells, and picks were made on that layout;
-``legacy_attacker`` swaps that back in.  One exact scatter (a 0/1 matmul)
-hands the flat joint to the trainer on the target grid, and gamma is laid
-on the grid in the model dtype, where the original padded it into an
-(L', K_max) array in float32, so float64 parity can read it.
+(sum K_j, 1) layout of the valid cells; ``legacy_attacker`` swaps that
+back in.  One exact scatter (a 0/1 matmul) hands the flat joint to the
+trainer on the target grid, and gamma is laid on the grid in the model
+dtype, where the original padded it into an (L', K_max) array in float32,
+so float64 parity can read it.  Picks were made on the flat layout
+(``select_attack``).  They are not swapped back in: the rollout picks
+from the scattered grid, whose interleaved exact zeros add no step to the
+sampling cdf, and ``test_grid_picks_match_the_per_target_picks`` checks
+against ``select_attack`` that both layouts take the same cells.
 
 Worlds ran a lazy Dijkstra from one source at a time (``dijkstra``);
 ``dijkstra_world`` gives a world those distances in place of its
@@ -245,11 +249,9 @@ def select_attack(score, mode, rng=None):
 
 
 def legacy_attacker(monkeypatch):
-    """Route the attacker through the per-target score loop and the flat
-    picks for one test."""
+    """Route the attacker through the per-target score loop for one test."""
     monkeypatch.setattr(attacker.Attacker, "encode", attacker_encode)
     monkeypatch.setattr(attacker.Attacker, "attack_score", attack_score)
-    monkeypatch.setattr(trainer, "select_attack", select_attack)
 
 
 def dijkstra(g, src):

@@ -10,9 +10,10 @@ from legacy_ops import select_attack as legacy_select_attack
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import world as w
-from advnav.attacker import Attacker, select_attack
+from advnav.attacker import Attacker
 from advnav.diffcore import Tape, Tensor, backward
-from advnav.navigator import ModelDims, Navigator, encode_tokens
+from advnav.navigator import (ModelDims, Navigator, encode_tokens, greedy_action,
+                              sample_action)
 
 DIMS = ModelDims(d_w=8, d_v=6, d_p=5, d_h=7)
 
@@ -29,6 +30,14 @@ def make_attacker(seed=0, dims=DIMS, dtype=np.float32):
 
 def instr_of(vocab, text):
     return ins.make_instruction(tuple(vocab.id_of(x) for x in text.split()), vocab)
+
+
+def rollout_pick(score, mode, rng=None):
+    """The cell ``rollout_episode`` picks for the learned attacker: a draw
+    from ``p_flat`` when it learns ('sample'), else the argmax."""
+    cell = sample_action(score.p_flat, rng) if mode == "sample" \
+        else greedy_action(score.p_flat)
+    return ins.AttackAction(*divmod(cell, score.valid.shape[1]))
 
 
 def test_zero_projections_give_uniform_everything(vocab):
@@ -162,7 +171,7 @@ def test_grid_picks_match_the_per_target_picks(dtype, monkeypatch):
                         [select(score, "sample", rng) for _ in range(10)]))
         return out
 
-    new = picks(select_attack)
+    new = picks(rollout_pick)
     legacy_attacker(monkeypatch)
     assert new == picks(legacy_select_attack)
 
@@ -176,8 +185,8 @@ def test_select_degenerate_distribution(vocab):
     one_hot[1, 0] = 1.0
     score.p_flat.values = one_hot
     rng = np.random.default_rng(0)
-    assert select_attack(score, "greedy") == select_attack(score, "sample", rng)
-    assert select_attack(score, "greedy") == ins.AttackAction(1, 0)
+    assert rollout_pick(score, "greedy") == rollout_pick(score, "sample", rng)
+    assert rollout_pick(score, "greedy") == ins.AttackAction(1, 0)
 
 
 def test_greedy_tie_breaks_to_lowest_flat_index(vocab):
@@ -189,7 +198,7 @@ def test_greedy_tie_breaks_to_lowest_flat_index(vocab):
     flat = np.where(score.valid, 0.1, 0.0).reshape(-1)
     flat[cells[[2, 5]]] = 0.3  # the third and sixth valid cells tie
     score.p_flat.values = flat.reshape(score.valid.shape)
-    assert select_attack(score, "greedy") == ins.AttackAction(*divmod(cells[2], 3))
+    assert rollout_pick(score, "greedy") == ins.AttackAction(*divmod(cells[2], 3))
 
 
 def test_uniform_sampling_frequencies(vocab):
@@ -202,7 +211,7 @@ def test_uniform_sampling_frequencies(vocab):
     rng = np.random.default_rng(123)
     counts = {}
     for _ in range(10000):
-        a = select_attack(score, "sample", rng)
+        a = rollout_pick(score, "sample", rng)
         counts[a] = counts.get(a, 0) + 1
     assert set(counts) == set(instr.valid_actions())
     freqs = np.array([counts[a] for a in instr.valid_actions()]) / 10000.0
@@ -217,7 +226,7 @@ def test_attack_is_dynamic_in_the_visual_state(vocab):
     for word in ("table", "kitchen", "sofa", "bed", "garden"):
         f_v = w.landmark_feature(word, DIMS.d_v) * 3.0
         score = att.attack_score(None, enc, f_v)
-        argmaxes.add(select_attack(score, "greedy"))
+        argmaxes.add(rollout_pick(score, "greedy"))
     assert len(argmaxes) >= 2  # some pair of states disagrees on the argmax
 
 

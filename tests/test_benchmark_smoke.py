@@ -4,15 +4,35 @@ Each run sets up, measures and checks one workload as ``perfbench/run.py``
 does, so the benchmark's trace-row, attacked-word accuracy, schedule and
 prefix-replay checks see the records the program writes today.
 ``pretrain_clean`` is left out: at 0.3 s its learning check passes or fails
-with the host's speed.
+with the host's speed.  One run is traced, so that the span tracer wraps
+every public function the program has today and the per-layer metrics are
+drawn from a whole workload window.
 """
+
+import math
 
 import pytest
 
 import bench
+import spans
 
 
 @pytest.mark.parametrize("workload", ["eval_attacked", "adversarial_long"])
 def test_attacked_workload_runs_with_no_failed_unit(workload):
     result = bench.run(workload, 1, 0.3)
     assert result["attempted"] >= 1 and result["failed"] == 0
+
+
+def test_traced_run_reports_every_per_layer_metric():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = bench.run("eval_attacked", 1, 0.3, tracer)
+    finally:
+        tracer.uninstall()
+    assert result["attempted"] >= 1 and result["failed"] == 0
+    metrics = {k: v for k, (v, _) in result["metrics"].items()}
+    assert set(metrics) == {name for name, _, _ in spans.PER_LAYER}
+    assert all(math.isfinite(v) for v in metrics.values())
+    assert metrics["attacker.attack_score.calls_per_unit"] > 0
+    assert metrics["instruct.perturbations_per_unit"] > 0

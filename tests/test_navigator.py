@@ -38,6 +38,15 @@ def test_encode_rejects_empty():
         make_nav().encode(None, (), ())
 
 
+def test_navigator_is_built_from_its_parameters_alone():
+    # the decoder's width is read from its parameters, not stored beside them
+    nav = make_nav(dims=ModelDims(d_h=8))
+    state = Navigator(nav.params).initial_state()
+    for t in (state.h_tilde, state.cell):
+        assert t.values.shape == (1, 8) and not t.values.any()
+        assert t.dtype == nav.dtype
+
+
 def test_swapping_identical_tokens_leaves_encoding_unchanged():
     nav = make_nav(3)
     tokens = (2, 7, 4, 7, 5)

@@ -528,9 +528,12 @@ def test_rollout_trace_prediction_matches_p_c():
         assert row["predicted_target"] == int(np.argmax(row["p_c"]))
 
 
-@pytest.mark.parametrize("mode", ["eval", "nav_teacher", "nav_learn", "att_learn"])
-def test_only_attacked_steps_run_the_reasoning_head(mode, monkeypatch):
-    # the attacked-word head has a label only where a word was swapped
+@pytest.mark.parametrize("mode,record_trace", [
+    *(pytest.param(m, True, id=m) for m in ("eval", "nav_teacher", "nav_learn", "att_learn")),
+    *(pytest.param(m, False, id=f"{m}-untraced") for m in ("eval", "att_learn"))])
+def test_only_attacked_steps_run_the_reasoning_head(mode, record_trace, monkeypatch):
+    # the attacked-word head has a label only where a word was swapped, and a
+    # frozen navigator's head has a reader only in a trace
     items = make_items()[:3]
     nav, att, nav_val, att_val = make_models()
     calls, predict = [], Navigator.predict_attacked_word
@@ -546,11 +549,35 @@ def test_only_attacked_steps_run_the_reasoning_head(mode, monkeypatch):
             calls.clear()
             res = tr.rollout_episode(item, nav, opponent, mode, np.random.default_rng(0),
                                      tr.TrainConfig(), nav_value=nav_val,
-                                     att_value=att_val, record_trace=True)
+                                     att_value=att_val, record_trace=record_trace)
             attacked = opponent is not None
-            assert len(calls) == attacked * len(res.nav_buffer.transitions)
+            reads = record_trace or mode in ("nav_teacher", "nav_learn")
+            assert len(calls) == (attacked and reads) * len(res.nav_buffer.transitions)
             assert all(("p_c" in row) == ("predicted_target" in row) == attacked
                        for row in res.trace)
+
+
+@pytest.mark.parametrize("mode,opponent", [
+    ("eval", "learned"), ("eval", "random"), ("nav_learn", "learned"),
+    ("nav_learn", "random"), ("att_learn", "learned")])
+def test_recorded_attack_cell_is_the_applied_swap(mode, opponent):
+    # the attacker's transition records the flat cell j * L' + i: target j's
+    # word was replaced by target i's, and j is the navigator's aux label
+    items = make_items()[:4]
+    nav, att, nav_val, att_val = make_models()
+    for k, item in enumerate(items):
+        instr = item.instruction
+        res = tr.rollout_episode(
+            item, nav, {"learned": att, "random": tr._random_attack}[opponent], mode,
+            np.random.default_rng([5, k]), tr.TrainConfig(), nav_value=nav_val,
+            att_value=att_val, record_trace=True)
+        steps = zip(res.att_buffer.transitions, res.nav_buffer.transitions, res.trace)
+        for att_tr, nav_tr, row in steps:
+            j, i = divmod(att_tr.action, instr.n_targets)
+            assert instr.target_set[j] == row["attacked_position"]
+            assert instr.tokens[instr.target_set[i]] == row["substitute_token"]
+            assert j == nav_tr.attacked_target
+        assert len(res.trace) == len(res.att_buffer.transitions) > 0
 
 
 def test_aux_labels_equal_attacker_actions():
