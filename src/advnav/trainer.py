@@ -163,8 +163,8 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
     ``att`` is the opponent, and every step is attacked exactly when there
     is one: ``None`` runs clean, the learned ``Attacker`` scores the target
     grid, and a function ``f(instruction, rng) -> AttackAction`` returns a
-    valid cell (j, i) of ``instruction.valid`` (``adversarial_train``
-    hardens against random substitutions this way).
+    valid cell (j, i) of ``instruction.valid`` (random substitutions,
+    ``_random_attack``, are one; ``train_navigator`` hardens against any).
     ``mode`` fixes each player's role once, at entry: 'nav_learn' tapes and
     samples the navigator (the opponent is frozen and greedy),
     'nav_teacher' tapes the navigator but follows and supervises the
@@ -446,13 +446,13 @@ def navigator_update(item, nav, nav_value, cfg, rng, att, opt_state):
     return diag, res_rl
 
 
-def attacker_update(item, nav, att, att_value, acfg, rng, opt_state):
-    """One attacker update against the frozen greedy navigator; ``acfg`` is
-    the attacker's config (``TrainConfig.for_attacker``)."""
-    res = rollout_episode(item, nav, att, "att_learn", rng, acfg,
+def attacker_update(item, nav, att, att_value, cfg, rng, opt_state):
+    """One attacker update against the frozen greedy navigator, stepped with
+    the attacker's terms of the shared ``cfg`` (``TrainConfig.for_attacker``)."""
+    res = rollout_episode(item, nav, att, "att_learn", rng, cfg,
                           att_value=att_value)
     diag = a2c_update(res.tape, [res.att_buffer], att.params, att_value.params,
-                      acfg, opt_state)
+                      cfg.for_attacker(), opt_state)
     return diag, res
 
 
@@ -467,8 +467,9 @@ def _log(log_fn, tag, it, player, buf, diag):
 
 def _navigator_updates(items, nav, nav_value, cfg, rng, iters, att, opt_state, log):
     """Clean updates with no ``att``, else hardening against the frozen
-    ``att``; only the opponent choices draw ``rng.random()``."""
-    att_digest = None if att is None else params_digest(att.params)
+    opponent ``att`` of any kind; only the opponent choices draw ``rng.random()``."""
+    frozen = att.params if isinstance(att, Attacker) else {}
+    digest = params_digest(frozen)
     for it in range(iters):
         item = _pick(items, rng)
         # alternate attacked and clean episodes so hardening does not
@@ -481,15 +482,15 @@ def _navigator_updates(items, nav, nav_value, cfg, rng, iters, att, opt_state, l
                                      opt_state=opt_state)
         if log:
             log(it, "nav", res.nav_buffer, diag)
-    if att is not None and params_digest(att.params) != att_digest:
+    if params_digest(frozen) != digest:
         raise RuntimeError("frozen attacker changed during navigator updates")
 
 
-def _attacker_updates(items, nav, att, att_value, acfg, rng, iters, opt_state, log):
+def _attacker_updates(items, nav, att, att_value, cfg, rng, iters, opt_state, log):
     nav_digest = params_digest(nav.params)
     for it in range(iters):
         item = _pick(items, rng)
-        diag, res = attacker_update(item, nav, att, att_value, acfg, rng, opt_state)
+        diag, res = attacker_update(item, nav, att, att_value, cfg, rng, opt_state)
         if log:
             log(it, "att", res.att_buffer, diag)
     if params_digest(nav.params) != nav_digest:
@@ -497,29 +498,30 @@ def _attacker_updates(items, nav, att, att_value, acfg, rng, iters, opt_state, l
 
 
 def train_navigator(items, nav, nav_value, cfg, rng, iters, att=None, log_fn=None):
-    """Clean navigator training, or with ``att`` hardening against that
-    frozen attacker: each update is attacked with probability
-    ``attacked_fraction``, by random substitutions for a ``harden_random``
-    share of those, as in the adversarial rounds."""
+    """Clean navigator training, or with ``att`` hardening against that frozen
+    opponent of any kind ``rollout_episode`` takes: each update is attacked
+    with probability ``attacked_fraction``, by random substitutions for a
+    ``harden_random`` share of those (at 0, ``att`` alone), as in ``adversarial_train``."""
     _navigator_updates(items, nav, nav_value, cfg, rng, iters, att, {},
                        log_fn and partial(_log, log_fn, {"stage": "pretrain_nav"}))
 
 
 def train_attacker(items, nav, att, att_value, cfg, rng, iters, log_fn=None):
     """Attacker training against a frozen navigator."""
-    _attacker_updates(items, nav, att, att_value, cfg.for_attacker(), rng, iters, {},
+    _attacker_updates(items, nav, att, att_value, cfg, rng, iters, {},
                       log_fn and partial(_log, log_fn, {"stage": "pretrain_att"}))
 
 
 def adversarial_train(items, nav, att, nav_value, att_value, cfg, rng, log_fn=None):
-    """Alternating rounds: freeze the attacker while the navigator takes
-    n_eta hardening updates (as ``train_navigator`` with ``att``), then
-    freeze the navigator for n_pi attacker updates.  Each player's momentum
-    carries across rounds.  Returns the update sequence."""
-    acfg = cfg.for_attacker()
+    """Alternating rounds: freeze ``att``, the learned attacker (any other is
+    refused up front), while the navigator takes n_eta hardening updates as
+    ``train_navigator`` does, then freeze the navigator for n_pi attacker
+    updates.  Each player's momentum carries across rounds; returns the update sequence."""
+    if not isinstance(att, Attacker):
+        raise ValueError("adversarial training needs the learned attacker")
     nav_opt, att_opt = {}, {}
     for rnd in range(cfg.n_iter):
         log = log_fn and partial(_log, log_fn, {"stage": "adversarial", "round": rnd})
         _navigator_updates(items, nav, nav_value, cfg, rng, cfg.n_eta, att, nav_opt, log)
-        _attacker_updates(items, nav, att, att_value, acfg, rng, cfg.n_pi, att_opt, log)
+        _attacker_updates(items, nav, att, att_value, cfg, rng, cfg.n_pi, att_opt, log)
     return (["eta"] * cfg.n_eta + ["pi"] * cfg.n_pi) * cfg.n_iter

@@ -447,9 +447,9 @@ def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
         params = {**{"att." + k: q for k, q in att.params.items()},
                   **{"val." + k: q for k, q in att_val.params.items()}}
         before = {k: q.values.copy() for k, q in params.items()}
-        acfg, rng = tr.TrainConfig().for_attacker(), np.random.default_rng(5)
+        cfg, rng = tr.TrainConfig(), np.random.default_rng(5)
         for item in items:
-            tr.attacker_update(item, nav, att, att_val, acfg, rng, {})
+            tr.attacker_update(item, nav, att, att_val, cfg, rng, {})
         return {k: q.values - before[k] for k, q in params.items()}
 
     new = steps()
@@ -458,6 +458,18 @@ def test_attacker_update_steps_match_the_per_target_score(monkeypatch):
     assert any(np.any(v != 0) for v in new.values())
     for k in old:
         assert max_rel_error(new[k], old[k]) < 1e-9, k
+
+
+def test_attacker_update_steps_with_the_attackers_terms_of_the_shared_config():
+    # Digest recorded when the caller passed TrainConfig().for_attacker();
+    # given the shared TrainConfig(), the update must not step at the
+    # navigator's lr and gamma (which gives 9914b6fd...)
+    item = make_items()[0]
+    for cfg in (tr.TrainConfig(), tr.TrainConfig().for_attacker()):
+        nav, att, _, att_val = make_models()
+        tr.attacker_update(item, nav, att, att_val, cfg, np.random.default_rng(5), {})
+        assert params_digest(att.params) == \
+            "d7fc6ebc259eb75b8282c6db6e0a32565b0242068dc7d27102b77c98be2ecf0d"
 
 
 @pytest.mark.parametrize("spec", ["SHORT_EVAL", "LONG"])
@@ -723,6 +735,86 @@ def test_adversarial_train_pins_shared_encoding_digests():
         "132dd94772be858760db79728010cf52c099c93a07851c326143325cf94f8e82"
 
 
+def test_stage_loops_reproduce_pinned_digests(monkeypatch):
+    # Digests as first recorded (numpy 2.4.6, OpenBLAS, x86-64): hardening
+    # against the learned attacker with clean, learned and random updates,
+    # and attacker pretraining, must reproduce them bit for bit
+    items = make_items(n_worlds=1, episodes=3)
+    nav, att, nav_val, att_val = make_models()
+    nav_update, kinds = tr.navigator_update, []
+
+    def recording(*args, att=None, **kwargs):
+        kinds.append({None: "clean", tr._random_attack: "random"}.get(att, "learned"))
+        return nav_update(*args, att=att, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(tr, "navigator_update", recording)
+        tr.train_navigator(items, nav, nav_val, tr.TrainConfig(harden_random=0.5),
+                           np.random.default_rng(0), iters=6, att=att)
+    assert set(kinds) == {"clean", "learned", "random"}
+    assert params_digest(nav.params) == \
+        "9c99efea2820ea874bb3bab45a1f2888e4e9c82b459618ea2fe6bec50724d3a1"
+    assert params_digest(nav_val.params) == \
+        "f5191f7f0001a4a54b8cf4b4250da5e02109ab29157f5cb1c062836e80023aae"
+
+    nav, att, nav_val, att_val = make_models()
+    tr.train_attacker(items, nav, att, att_val, tr.TrainConfig(),
+                      np.random.default_rng(0), iters=5)
+    assert params_digest(att.params) == \
+        "66b0f1b2bc5eecfc1a3e1c61e761bcdb966995438c599af368c2cabd3be3e979"
+    assert params_digest(att_val.params) == \
+        "98d1d8e37cc06006cd3cb8528c6708939871c26e38a140f990943d03e23f460b"
+
+
+def test_train_navigator_hardens_against_a_function_opponent(monkeypatch):
+    items = make_items(n_worlds=1, episodes=3)
+    nav, _, nav_val, _ = make_models()
+    picked, seen, rollout = [], [], tr.rollout_episode
+
+    def last_cell(instruction, rng):
+        picked.append(instruction.valid_actions()[-1])
+        return picked[-1]
+
+    def recording(*args, **kwargs):
+        seen.append(rollout(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(tr, "rollout_episode", recording)
+    before = params_digest(nav.params)
+    tr.train_navigator(items, nav, nav_val,
+                       tr.TrainConfig(attacked_fraction=1.0, harden_random=0.0),
+                       np.random.default_rng(0), iters=3, att=last_cell)
+    # a teacher-forced and a sampled rollout per update, each attacked at
+    # every step by the cell the function returned there
+    assert [res.nav_buffer.transitions[0].use_rl for res in seen] == [False, True] * 3
+    steps = [trn for res in seen for trn in res.nav_buffer.transitions]
+    assert [trn.attacked_target for trn in steps] == [a.target_index for a in picked]
+    assert params_digest(nav.params) != before
+
+    picked.clear()
+    seen.clear()
+    tr.train_navigator(items, nav, nav_val,
+                       tr.TrainConfig(attacked_fraction=1.0, harden_random=1.0),
+                       np.random.default_rng(0), iters=3, att=last_cell)
+    assert picked == [] and len(seen) == 6
+    assert all(trn.attacked_target is not None
+               for res in seen for trn in res.nav_buffer.transitions)
+
+
+@pytest.mark.parametrize("opponent", [None, tr._random_attack])
+def test_adversarial_train_refuses_other_opponents_before_any_update(opponent):
+    # only the learned attacker can take the attacker's rounds; refusing
+    # when the first of them starts would leave a half-trained navigator
+    items = make_items(n_worlds=1, episodes=2)
+    nav, _, nav_val, att_val = make_models()
+    before = params_digest(nav.params), params_digest(nav_val.params)
+    with pytest.raises(ValueError, match="learned attacker"):
+        tr.adversarial_train(items, nav, opponent, nav_val, att_val,
+                             tr.TrainConfig(n_eta=2, n_pi=1, n_iter=1),
+                             np.random.default_rng(0))
+    assert (params_digest(nav.params), params_digest(nav_val.params)) == before
+
+
 DIAG_KEYS = {"pg", "value", "entropy", "il", "aux", "grad_norm", "value_grad_norm",
              "loss", "aborted"}
 
@@ -908,8 +1000,12 @@ def test_random_draws_only_choose_the_hardening_opponent(monkeypatch):
     events, updates = [], []
     nav_update, att_update = tr.navigator_update, tr.attacker_update
 
+    def first_cell(instruction, rng):
+        return instruction.valid_actions()[0]
+
     def nav_recording(*args, att=None, **kwargs):
-        kind = {None: "clean", tr._random_attack: "random"}.get(att, "learned")
+        kind = {None: "clean", tr._random_attack: "random",
+                first_cell: "function"}.get(att, "learned")
         updates.append(("eta", kind))
         events.append("eta")
         out = nav_update(*args, att=att, **kwargs)
@@ -942,6 +1038,18 @@ def test_random_draws_only_choose_the_hardening_opponent(monkeypatch):
     tr.train_navigator(items, nav, nav_val, cfg, CountingRng(np.random.default_rng(2),
                                                              events), iters=4)
     assert events == ["eta", "end"] * 4
+
+    # the same schedule of draws against a function opponent
+    events.clear()
+    updates.clear()
+    tr.train_navigator(items, nav, nav_val, cfg, CountingRng(np.random.default_rng(3),
+                                                             events),
+                       iters=8, att=first_cell)
+    expect = []
+    for _, kind in updates:
+        expect += ["draw"] * (1 if kind == "clean" else 2) + ["eta", "end"]
+    assert events == expect
+    assert {kind for _, kind in updates} == {"clean", "function", "random"}
 
 
 def _rollout_fingerprint(res):
