@@ -5,18 +5,20 @@ optional same-shape gradient, and a ``Tape`` records every primitive
 application in execution order.  Walking a tape backwards leaves each
 gradient the loss reaches on its tensor's own ``.grad``, intermediates and leaves alike.
 Gradient arrays may be shared between tensors (``add`` hands one array to
-both inputs), so they are read-only: replace ``.grad``, never write into it.
+all its inputs), so they are read-only: replace ``.grad``, never write into it.
 
 The primitive set is closed: matrix multiply (either operand optionally
-transposed), elementwise add/multiply, concatenate, row/full softmax (with
-an optional validity mask), tanh, sigmoid, embedding (row lookup), scalar
-scale, sum-reduce and cross-entropy-with-target.  Everything the models
-need (bilinear score columns and grids, weighted sums, row gathers, gated
-recurrences) is composed from these; see ``rowdot``/``attend``/
-``gather_rows``/``lstm_cell``.  One composition skips them: an untaped
-``lstm_cell`` step needs no backward, so it runs as one numpy forward
-instead of 25 primitive applications, with the same bits, over gate
-weights its factory stacked once for the whole run of cells.
+transposed), elementwise add of two or more tensors, elementwise multiply,
+concatenate, row/full softmax (with an optional validity mask), tanh,
+sigmoid, embedding (row lookup), scalar scale, sum-reduce and
+cross-entropy-with-target.  Everything the models need (bilinear score
+columns and grids, weighted sums, row gathers, gated recurrences) is
+composed from these; see ``rowdot``/``attend``/``gather_rows``/
+``lstm_cell``.  A taped cell is 17 entries once its input's 4 gate products
+exist, which a caller can share between cells that read the same input.
+One composition skips the primitives: an untaped ``lstm_cell`` needs no
+backward, so each half runs as one numpy forward, with the same bits, over
+gate weights its factory stacked once for the whole run of cells.
 
 Tensors are float32 by default and reductions accumulate in float64 before
 casting back.  Gradient checks should build float64 tensors instead, so
@@ -24,6 +26,9 @@ central differences are not drowned in rounding noise.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -176,9 +181,9 @@ PRIMITIVES = {
         _matmul_forward,
         _matmul_backward,
     ),
-    "add": (
-        lambda ctx, a, b: a + b,
-        lambda ctx, g, out, a, b: [g, g],
+    "add": (             # left to right: the bits of nested two-input adds
+        lambda ctx, *arrs: functools.reduce(operator.add, arrs),
+        lambda ctx, g, out, *arrs: [g] * len(arrs),
     ),
     "multiply": (
         lambda ctx, a, b: a * b,
@@ -220,21 +225,28 @@ PRIMITIVES = {
 
 
 def _apply(tape, op, inputs, ctx=(None,)):
-    fwd = PRIMITIVES[op][0]
     try:
-        arr = fwd(ctx, *[t.values for t in inputs])
+        arr = PRIMITIVES[op][0](ctx, *[t.values for t in inputs])
     except ValueError as exc:
         shapes = [t.values.shape for t in inputs]
         raise EngineError(f"{op}: incompatible shapes {shapes}: {exc}") from exc
-    out = Tensor._wrap(arr)
+    out = object.__new__(Tensor)
+    out.values, out.grad = arr, None
     if tape is not None:
-        tape.entries.append((op, tuple(inputs), out, ctx))
+        tape.entries.append((op, inputs, out, ctx))
     return out
 
 
-def _check_same_shape(op, a, b):
-    if a.values.shape != b.values.shape:
-        raise EngineError(f"{op}: shape mismatch {a.values.shape} vs {b.values.shape}")
+def _shape_mismatch(op, a, b):
+    return EngineError(f"{op}: shape mismatch {a.values.shape} vs {b.values.shape}")
+
+
+def _indices(op, ids):
+    """``ids`` as a tuple of ints; numpy integers pass, floats do not."""
+    try:
+        return tuple(operator.index(i) for i in ids)
+    except TypeError:
+        raise EngineError(f"{op}: indices must be integers, got {ids!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +258,19 @@ def matmul(tape, a, b):
     return _apply(tape, "matmul", (a, b), (False, False))
 
 
-def add(tape, a, b):
-    _check_same_shape("add", a, b)
-    return _apply(tape, "add", (a, b))
+def add(tape, a, b, *rest):
+    """Elementwise sum of two or more same-shape tensors, one tape entry,
+    left to right: ``add(t, a, b, c)`` has the bits of ``(a + b) + c``."""
+    inputs, shape = (a, b, *rest), a.values.shape
+    for t in inputs:
+        if t.values.shape != shape:
+            raise _shape_mismatch("add", a, t)
+    return _apply(tape, "add", inputs)
 
 
 def multiply(tape, a, b):
-    _check_same_shape("multiply", a, b)
+    if a.values.shape != b.values.shape:
+        raise _shape_mismatch("multiply", a, b)
     return _apply(tape, "multiply", (a, b))
 
 
@@ -289,7 +307,7 @@ def sigmoid(tape, x):
 
 
 def embedding(tape, table, ids):
-    ids = tuple(int(i) for i in ids)
+    ids = _indices("embedding", ids)
     if ids and (min(ids) < 0 or max(ids) >= table.values.shape[0]):
         raise EngineError(f"embedding: id out of range for table {table.values.shape}")
     return _apply(tape, "embedding", (table,), (ids,))
@@ -304,14 +322,16 @@ def sum_reduce(tape, x):
 
 
 def cross_entropy(tape, p, target):
-    """-log p[target] for an integer target, or -sum(q*log p) for a tensor q.
+    """-log p[target] for an integer target (a numpy one too), or
+    -sum(q*log p) for a tensor q.
 
     Passing the distribution itself as the target yields its entropy.
     """
     if isinstance(target, Tensor):
-        _check_same_shape("cross_entropy", p, target)
+        if p.values.shape != target.values.shape:
+            raise _shape_mismatch("cross_entropy", p, target)
         return _apply(tape, "cross_entropy", (p, target), ("tensor",))
-    idx = int(target)
+    (idx,) = _indices("cross_entropy", (target,))
     if not 0 <= idx < p.values.size:
         raise EngineError(f"cross_entropy: target {idx} out of range {p.values.size}")
     return _apply(tape, "cross_entropy", (p,), ("index", idx))
@@ -358,51 +378,67 @@ def affine(tape, x, w, b):
 
 
 def lstm_cell(tape, params, prefix=""):
-    """A step ``step(x, h_prev, c_prev) -> (h, c)`` of a standard gated
-    recurrence, bound to ``params``; make one for a run of cells.
+    """A standard gated recurrence bound to ``params``, as its two halves
+    ``(project, step)``; make one pair for a run of cells.
 
-    ``params`` holds per-gate input/recurrent/bias tensors under keys
-    ``{prefix}wx{i,f,g,o}``, ``{prefix}wh{i,f,g,o}``, ``{prefix}b{i,f,g,o}``.
-    A step reads them when it is made: an untaped step keeps the values it
-    stacked, so make a new step after any write to the parameters.
+    ``project(x)`` computes the input side ``x @ wx`` of all four gates, and
+    ``step(xw, h_prev, c_prev) -> (h, c)`` finishes a cell from it, so a
+    caller that feeds one input to several cells (an encoder token) can
+    project it once.  ``params`` holds per-gate input/recurrent/bias tensors
+    under keys ``{prefix}wx{i,f,g,o}``, ``{prefix}wh{i,f,g,o}``,
+    ``{prefix}b{i,f,g,o}``.  The halves read them when they are made: untaped
+    ones keep the values they stacked, so make a new pair after any write to
+    the parameters.
 
-    On a tape each step is composed from primitives, 25 entries that
-    ``backward`` walks.  Untaped (``tape is None``) a step needs no backward:
-    the factory stacks the four gates on a leading axis once, and each step
-    runs as one numpy forward over them; ``x``, ``h_prev`` and ``c_prev``
-    must then be single rows.  Both paths give the same bits: each gate's
-    products are the same BLAS calls on the same shapes, and every
+    On a tape ``project`` adds 4 ``matmul`` entries and returns their
+    outputs, and each ``step`` adds 17 entries (each gate is
+    ``act(add(xw, h_prev @ wh, b))``) that ``backward`` walks.  Untaped
+    (``tape is None``) the factory stacks the four gates on a leading axis
+    once: ``project`` returns the (4, 1, h) array of products and each
+    ``step`` runs as one numpy forward from it; ``x``, ``h_prev`` and
+    ``c_prev`` must then be single rows.  Both paths give the same bits: each
+    gate's products are the same BLAS calls on the same shapes, and every
     elementwise step is the same numpy operation.
     """
     if tape is None:
         wx, wh, b = _stack_gates(params, prefix)
         d, n = wx.shape[1:]
 
-        def step(x, h_prev, c_prev):
-            for name, t, width in (("x", x, d), ("h_prev", h_prev, n), ("c_prev", c_prev, n)):
-                if t.values.shape != (1, width):
-                    raise EngineError(f"lstm_cell: {name} of shape {t.values.shape}, "
-                                      f"weights need (1, {width})")
-            s = (x.values @ wx + h_prev.values @ wh) + b
+        def project(x):
+            _check_row("x", x, d)
+            return x.values @ wx
+
+        def step(xw, h_prev, c_prev):
+            _check_row("h_prev", h_prev, n)
+            _check_row("c_prev", c_prev, n)
+            s = (xw + h_prev.values @ wh) + b
             act = _sigmoid(s)
             c = act[1] * c_prev.values + act[0] * np.tanh(s[2])
             h = act[3] * np.tanh(c)
             return Tensor._wrap(h), Tensor._wrap(c)
 
-        return step
+        return project, step
     gates = [(params[prefix + "wx" + tag], params[prefix + "wh" + tag],
               params[prefix + "b" + tag], act)
              for tag, act in (("i", sigmoid), ("f", sigmoid), ("g", tanh), ("o", sigmoid))]
 
-    def step(x, h_prev, c_prev):
-        i, f, g, o = [act(tape, add(tape, add(tape, matmul(tape, x, wx),
-                                              matmul(tape, h_prev, wh)), b))
-                      for wx, wh, b, act in gates]
+    def project(x):
+        return tuple(matmul(tape, x, wx) for wx, _, _, _ in gates)
+
+    def step(xw, h_prev, c_prev):
+        i, f, g, o = [act(tape, add(tape, xw_k, matmul(tape, h_prev, wh), b))
+                      for xw_k, (_, wh, b, act) in zip(xw, gates)]
         c = add(tape, multiply(tape, f, c_prev), multiply(tape, i, g))
         h = multiply(tape, o, tanh(tape, c))
         return h, c
 
-    return step
+    return project, step
+
+
+def _check_row(name, t, width):
+    if t.values.shape != (1, width):
+        raise EngineError(f"lstm_cell: {name} of shape {t.values.shape}, "
+                          f"weights need (1, {width})")
 
 
 def _stack_gates(params, prefix):
@@ -460,14 +496,16 @@ def backward(tape, loss):
     if not on_tape:
         raise EngineError("backward: loss is not produced by this tape")
     loss.grad = np.ones_like(loss.values)
+    prims = PRIMITIVES      # read per entry, so a swapped primitive is seen
     for op, inputs, out, ctx in reversed(tape.entries):
         g = out.grad
         if g is None:
             continue
-        grads = PRIMITIVES[op][1](ctx, g, out.values, *[t.values for t in inputs])
+        grads = prims[op][1](ctx, g, out.values, *[t.values for t in inputs])
         for t, gi in zip(inputs, grads):
+            if gi.dtype is not t.values.dtype:     # builtin dtypes are shared
+                gi = gi.astype(t.values.dtype, copy=False)
             # a fresh sum, never +=: gi and t.grad may be shared arrays
-            gi = gi.astype(t.values.dtype, copy=False)
             t.grad = gi if t.grad is None else t.grad + gi
 
 

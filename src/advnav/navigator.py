@@ -81,12 +81,15 @@ def encode_tokens(tape: Optional[Tape], params: dict, tokens,
                   memo: Optional[dict] = None) -> Tensor:
     """Embed ``tokens`` and run both recurrence directions -> (L, d_w) rows.
 
-    Each call makes one ``lstm_cell`` step per direction, so an untaped
-    encode stacks each direction's gates once, not once per cell.
-    ``memo`` keeps each cell under (prefix, input h or None, token) and each
-    embedding row under its token, so encodes sharing it run each distinct
-    cell once: after a one-word swap at p, only the forward cells from p and
-    the backward cells down from p run.  Share it on one tape and ``params``.
+    Each call makes one ``lstm_cell`` pair per direction, so an untaped
+    encode stacks each direction's gates once, not once per cell.  ``memo``
+    keeps each embedding row under its token, each token's input products
+    under (prefix, token) and each cell under (prefix, input h or None,
+    token), so encodes sharing it project each token once per direction and
+    run each distinct cell once: after a one-word swap at p, only the forward
+    cells from p and the backward cells down from p run.  Taped, a cell then
+    costs 17 entries, and each new (prefix, token) 4 more.  Share it on one
+    tape and ``params``.
     """
     if len(tokens) == 0:
         raise ValueError("cannot encode an empty instruction")
@@ -96,15 +99,17 @@ def encode_tokens(tape: Optional[Tape], params: dict, tokens,
     cols = []
     for prefix, order in (("enc_f.", range(len(tokens))),
                           ("enc_b.", range(len(tokens) - 1, -1, -1))):
-        step = dc.lstm_cell(tape, params, prefix)
+        project, step = dc.lstm_cell(tape, params, prefix)
         h, c, outs = None, zero, [None] * len(tokens)
         for i in order:
             t = tokens[i]
             key = (prefix, h, t)
             if key not in memo:
-                if t not in memo:
-                    memo[t] = dc.embedding(tape, embed, (t,))
-                memo[key] = step(memo[t], zero if h is None else h, c)
+                if (prefix, t) not in memo:
+                    if t not in memo:
+                        memo[t] = dc.embedding(tape, embed, (t,))
+                    memo[prefix, t] = project(memo[t])
+                memo[key] = step(memo[prefix, t], zero if h is None else h, c)
             h, c = memo[key]
             outs[i] = h
         cols.append(dc.concat(tape, outs, axis=0))
@@ -172,7 +177,8 @@ class Navigator:
         and its ``h_tilde`` feeds ``predict_attacked_word`` on attacked steps."""
         p = self.params
         x = dc.concat(tape, [f_v, state.prev_action], axis=1)
-        h, cell = dc.lstm_cell(tape, p, "dec.")(x, state.h_tilde, state.cell)
+        project, step = dc.lstm_cell(tape, p, "dec.")
+        h, cell = step(project(x), state.h_tilde, state.cell)
         alpha_w = dc.softmax(tape, dc.rowdot(
             tape, dc.matmul(tape, enc.u, p["w_u"]), h))
         f_w_att = dc.attend(tape, alpha_w, enc.u)

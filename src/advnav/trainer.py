@@ -137,7 +137,7 @@ class UpdateEncodings:
     The attacker's encoding is of one instruction, so a rollout attacking
     another one is refused; the navigator's entries are keyed by tokens."""
     tapes: Optional[tuple] = None
-    memo: dict = field(default_factory=dict)    # the navigator's encoder cells
+    memo: dict = field(default_factory=dict)    # navigator encoder rows, products, cells
     nav: dict = field(default_factory=dict)     # tokens -> EncodedInstruction
     att: Optional[AttackerEncoding] = None      # of the original instruction
 

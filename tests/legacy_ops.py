@@ -13,7 +13,12 @@ Untaped cells ran through the same primitives as taped ones;
 
 The encoder ran all 2L cells of every sequence with one embedding lookup
 per position, and each rollout kept its own encodings; ``legacy_encoding``
-swaps that back in.
+swaps that back in.  Later it ran each distinct cell once, but every cell
+computed its own input products ``x @ wx``, where they are now kept per
+(direction, token); ``legacy_cell_inputs`` swaps that back in.  Tape order
+within a cell differs from that encoder's (a cell's 4 input products now
+come first, and each gate sums in one 3-input ``add``), but every tensor
+receives its gradients in the same order, so the swap gives its bits.
 
 Instructions carried per-target candidate lists (``build_candidate_sets``),
 and attacks were (target, candidate) pairs (j, k) into them.
@@ -87,12 +92,13 @@ def legacy_untaped_cell(monkeypatch):
     def composed(tape, params, prefix=""):
         if tape is not None:
             return cell(tape, params, prefix)
+        project, step = cell(dc.Tape(), params, prefix)
 
-        def step(x, h_prev, c_prev):
+        def counted(xw, h_prev, c_prev):
             routed["steps"] += 1
-            return cell(dc.Tape(), params, prefix)(x, h_prev, c_prev)
+            return step(xw, h_prev, c_prev)
 
-        return step
+        return project, counted
 
     monkeypatch.setattr(dc, "lstm_cell", composed)
     return routed
@@ -118,10 +124,10 @@ def encode_tokens(tape, params, tokens, memo=None):
     def run(direction, prefix):
         h = dc.zeros((1, half), dtype=embed.dtype)
         c = dc.zeros((1, half), dtype=embed.dtype)
-        step = dc.lstm_cell(tape, params, prefix)
+        project, step = dc.lstm_cell(tape, params, prefix)
         outs = [None] * len(tokens)
         for i in direction:
-            h, c = step(embs[i], h, c)
+            h, c = step(project(embs[i]), h, c)
             outs[i] = h
         return outs
 
@@ -142,6 +148,38 @@ def legacy_encoding(monkeypatch):
     monkeypatch.setattr(navigator, "encode_tokens", encode_tokens)
     monkeypatch.setattr(attacker, "encode_tokens", encode_tokens)
     monkeypatch.setattr(trainer, "rollout_episode", own_encodings)
+
+
+def encode_tokens_per_cell_inputs(tape, params, tokens, memo=None):
+    """The cell-sharing encoder before input products were shared: each
+    cell projects its own input."""
+    if len(tokens) == 0:
+        raise ValueError("cannot encode an empty instruction")
+    memo = {} if memo is None else memo
+    embed = params["embed"]
+    zero = dc.zeros((1, embed.values.shape[1] // 2), dtype=embed.dtype)
+    cols = []
+    for prefix, order in (("enc_f.", range(len(tokens))),
+                          ("enc_b.", range(len(tokens) - 1, -1, -1))):
+        project, step = dc.lstm_cell(tape, params, prefix)
+        h, c, outs = None, zero, [None] * len(tokens)
+        for i in order:
+            t = tokens[i]
+            key = (prefix, h, t)
+            if key not in memo:
+                if t not in memo:
+                    memo[t] = dc.embedding(tape, embed, (t,))
+                memo[key] = step(project(memo[t]), zero if h is None else h, c)
+            h, c = memo[key]
+            outs[i] = h
+        cols.append(dc.concat(tape, outs, axis=0))
+    return dc.concat(tape, cols, axis=1)
+
+
+def legacy_cell_inputs(monkeypatch):
+    """Route both players through the per-cell input products for one test."""
+    monkeypatch.setattr(navigator, "encode_tokens", encode_tokens_per_cell_inputs)
+    monkeypatch.setattr(attacker, "encode_tokens", encode_tokens_per_cell_inputs)
 
 
 class Candidate(NamedTuple):

@@ -57,6 +57,32 @@ def test_shape_mismatch_rejected():
         matmul(t, a, b)
 
 
+def test_add_of_three_is_one_entry_with_nested_bits_and_gradients():
+    rng = np.random.default_rng(8)
+    a, b, c = (constant(rng.normal(size=(2, 3)) * 10.0 ** k) for k in (0, 4, -4))
+    t = Tape()
+    out = add(t, a, b, c)
+    assert len(t) == 1
+    assert np.array_equal(out.values, add(None, add(None, a, b), c).values)
+    with pytest.raises(EngineError, match="add: shape mismatch"):
+        add(t, a, b, constant(np.zeros((2, 2))))
+
+    a, b, c = (Tensor(rng.normal(size=(2, 3)), dtype=np.float64) for _ in range(3))
+    w = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
+
+    def run():
+        t = Tape()
+        # the square gives each input its own gradient, not just w
+        s = add(t, a, b, c)
+        return t, sum_reduce(t, multiply(t, multiply(t, s, s), w))
+
+    t, loss = run()
+    backward(t, loss)
+    numeric = numeric_gradient(lambda: run()[1].item(), [a, b, c], h=1e-6)
+    for x, n in zip((a, b, c), numeric):
+        assert max_rel_error(x.grad, n) < 1e-7
+
+
 def test_item_rejects_non_scalars():
     assert constant([[2.5]]).item() == 2.5
     with pytest.raises(EngineError):
@@ -216,6 +242,29 @@ def test_cross_entropy_index_value_and_grad():
     np.testing.assert_allclose(p.grad, [[0.0, -2.0, 0.0]], atol=1e-12)
 
 
+@pytest.mark.parametrize("target", [1.7, np.float64(1.0), "1"])
+def test_cross_entropy_refuses_a_target_that_is_not_an_integer(target):
+    # int() would truncate 1.7 and score index 1
+    p = constant([[0.2, 0.5, 0.3]])
+    with pytest.raises(EngineError, match="cross_entropy: indices must be integers"):
+        cross_entropy(None, p, target)
+
+
+@pytest.mark.parametrize("ids", [(1.5,), (0, 2.0), np.array([1.0])])
+def test_embedding_refuses_ids_that_are_not_integers(ids):
+    table = constant(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(EngineError, match="embedding: indices must be integers"):
+        embedding(None, table, ids)
+
+
+def test_numpy_integer_indices_stay_accepted():
+    p = constant([[0.2, 0.5, 0.3]])
+    assert cross_entropy(None, p, np.int64(1)).item() == cross_entropy(None, p, 1).item()
+    table = constant(np.arange(12.0).reshape(4, 3))
+    np.testing.assert_array_equal(embedding(None, table, np.array([3, 1])).values,
+                                  table.values[[3, 1]])
+
+
 def test_rowdot_and_attend_match_numpy():
     rng = np.random.default_rng(5)
     a = constant(rng.normal(size=(4, 3)))
@@ -261,6 +310,12 @@ def test_gather_rows():
         gather_rows(None, x, [4])
 
 
+def cell(tape, params, x, h_prev, c_prev, prefix=""):
+    """One cell from a fresh ``lstm_cell`` pair."""
+    project, step = lstm_cell(tape, params, prefix)
+    return step(project(x), h_prev, c_prev)
+
+
 def test_lstm_cell_zero_params_halves_cell():
     dims = (3, 4)
     params = {k: Tensor(np.zeros_like(v.values))
@@ -269,7 +324,7 @@ def test_lstm_cell_zero_params_halves_cell():
     c_prev = constant([[1.0, -2.0, 0.5, 4.0]])
     h_prev = constant(np.zeros((1, 4)))
     for tape in (None, Tape()):
-        h, c = lstm_cell(tape, params)(x, h_prev, c_prev)
+        h, c = cell(tape, params, x, h_prev, c_prev)
         np.testing.assert_allclose(c.values, 0.5 * c_prev.values, atol=1e-7)
         np.testing.assert_allclose(h.values, 0.5 * np.tanh(0.5 * c_prev.values), atol=1e-7)
 
@@ -278,8 +333,8 @@ def test_lstm_cell_all_zero_state_gives_zero_hidden():
     params = {k: Tensor(np.zeros_like(v.values))
               for k, v in init_lstm_params(np.random.default_rng(0), 3, 4).items()}
     for tape in (None, Tape()):
-        h, c = lstm_cell(tape, params)(constant(np.zeros((1, 3))), constant(np.zeros((1, 4))),
-                                       constant(np.zeros((1, 4))))
+        h, c = cell(tape, params, constant(np.zeros((1, 3))), constant(np.zeros((1, 4))),
+                    constant(np.zeros((1, 4))))
         np.testing.assert_array_equal(h.values, np.zeros((1, 4), dtype=np.float32))
 
 
@@ -292,7 +347,7 @@ def test_lstm_cell_rejects_misshapen_inputs(tape, bad):
     # numpy would broadcast a (1, 1) state across the row without a check
     args[bad] = constant(np.zeros((1, 1) if bad == "c_prev" else (1, 5)))
     with pytest.raises(EngineError, match="lstm_cell|matmul|multiply"):
-        lstm_cell(tape, params)(args["x"], args["h_prev"], args["c_prev"])
+        cell(tape, params, args["x"], args["h_prev"], args["c_prev"])
 
 
 @pytest.mark.parametrize("tape", [None, Tape()], ids=["untaped", "taped"])
@@ -303,31 +358,40 @@ def test_lstm_cell_rejects_malformed_gate_params(tape, key, shape):
     x, h0, c0 = (constant(np.zeros((1, w))) for w in (3, 4, 4))
     # untaped, the factory checks every gate tensor it stacks and names it
     with pytest.raises(EngineError, match=key if tape is None else "add"):
-        lstm_cell(tape, params)(x, h0, c0)
+        cell(tape, params, x, h0, c0)
 
 
-def test_taped_lstm_step_adds_25_entries_per_cell():
+def test_taped_lstm_cell_adds_17_entries_per_step_and_4_per_input():
     params = init_lstm_params(np.random.default_rng(0), 3, 4)
     tape = Tape()
-    step = lstm_cell(tape, params)
+    project, step = lstm_cell(tape, params)
     assert len(tape) == 0
+    xw = project(constant(np.ones((1, 3))))
+    assert len(tape) == 4 and [op for op, *_ in tape.entries] == ["matmul"] * 4
     h, c = constant(np.zeros((1, 4))), constant(np.zeros((1, 4)))
-    for n in (1, 2, 3):
-        h, c = step(constant(np.ones((1, 3))), h, c)
-        assert len(tape) == 25 * n
+    for n in (1, 2, 3):     # one input's products feed every step
+        h, c = step(xw, h, c)
+        assert len(tape) == 4 + 17 * n
+    ops = [op for op, *_ in tape.entries[4:21]]
+    assert ops.count("add") == 5 and ops.count("matmul") == 4
+    # each gate sums its input product, recurrent product and bias at once
+    gate_sums = [inputs for op, inputs, *_ in tape.entries[4:21]
+                 if op == "add" and len(inputs) == 3]
+    assert [inputs[0] for inputs in gate_sums] == list(xw)
 
 
 def test_untaped_lstm_step_keeps_the_parameters_it_was_made_with():
     rng = np.random.default_rng(3)
     params = init_lstm_params(rng, 3, 4)
     x, h0, c0 = (constant(rng.normal(size=(1, w))) for w in (3, 4, 4))
-    step = lstm_cell(None, params)
-    before = step(x, h0, c0)[0].values
-    params["wxi"].values[...] += 1.0    # written in place after the step was made
-    assert np.array_equal(step(x, h0, c0)[0].values, before)
-    fresh = lstm_cell(None, params)(x, h0, c0)[0].values
+    project, step = lstm_cell(None, params)
+    before = step(project(x), h0, c0)[0].values
+    params["wxi"].values[...] += 1.0    # written in place after the pair was made
+    params["whi"].values[...] += 1.0
+    assert np.array_equal(step(project(x), h0, c0)[0].values, before)
+    fresh = cell(None, params, x, h0, c0)[0].values
     assert not np.array_equal(fresh, before)
-    assert np.array_equal(fresh, lstm_cell(Tape(), params)(x, h0, c0)[0].values)
+    assert np.array_equal(fresh, cell(Tape(), params, x, h0, c0)[0].values)
 
 
 # the model's encoder (32 -> 16) and decoder (64 -> 32) cells, and any width
@@ -345,8 +409,8 @@ def test_untaped_lstm_cell_gives_the_taped_bits(dims, dtype, scale, seed):
     params = init_lstm_params(rng, d, n, prefix="p.", dtype=dtype)
     x, h0, c0 = (Tensor(scale * rng.normal(size=(1, w)), dtype=dtype) for w in (d, n, n))
     with np.errstate(all="raise"):
-        h, c = lstm_cell(None, params, prefix="p.")(x, h0, c0)
-        h_t, c_t = lstm_cell(Tape(), params, prefix="p.")(x, h0, c0)
+        h, c = cell(None, params, x, h0, c0, prefix="p.")
+        h_t, c_t = cell(Tape(), params, x, h0, c0, prefix="p.")
     assert h.dtype == c.dtype == dtype
     assert np.array_equal(h.values, h_t.values) and np.array_equal(c.values, c_t.values)
 
@@ -361,7 +425,7 @@ def test_lstm_cell_gradients_match_finite_differences(seed):
 
     def run():
         t = Tape()
-        h, c = lstm_cell(t, params)(x, h0, c0)
+        h, c = cell(t, params, x, h0, c0)
         return t, sum_reduce(t, add(t, h, c))
 
     t, loss = run()

@@ -123,6 +123,36 @@ def test_memo_shared_encodes_match_fresh_encodes_in_gradient():
             assert max_rel_error(shared[k], other[k]) < 1e-9, k
 
 
+def test_encoder_gradients_with_shared_input_products_match_finite_differences():
+    # token 3 repeats, so in each direction its one input product feeds
+    # three cells, at least two of them from a nonzero state
+    rng = np.random.default_rng(31)
+    params = {"embed": Tensor(rng.normal(size=(6, 4)), dtype=np.float64)}
+    for prefix in ("enc_f.", "enc_b."):
+        params.update(dc.init_lstm_params(rng, 4, 2, prefix=prefix, dtype=np.float64))
+    tokens = (3, 1, 3, 5, 3)
+    weights = Tensor(rng.normal(size=(len(tokens), 4)), dtype=np.float64)
+
+    def run(tape):
+        u = encode_tokens(tape, params, tokens)
+        return dc.sum_reduce(tape, dc.multiply(tape, dc.tanh(tape, u), weights))
+
+    t = Tape()
+    loss = run(t)
+    for prefix in ("enc_f.", "enc_b."):
+        products = [out for op, inputs, out, _ in t.entries
+                    if op == "matmul" and inputs[1] is params[prefix + "wxi"]]
+        readers = [inputs for op, inputs, *_ in t.entries if op == "add"]
+        assert len(products) == 3      # one per distinct token
+        assert max(sum(xw is r[0] for r in readers) for xw in products) == 3
+    backward(t, loss)
+    tensors = list(params.values())
+    analytic = [q.grad.copy() for q in tensors]
+    numeric = numeric_gradient(lambda: run(None).item(), tensors, h=1e-6)
+    for k, a, n in zip(params, analytic, numeric):
+        assert max_rel_error(a, n) < 1e-6, k
+
+
 def test_zero_language_attention_weights_give_uniform_alpha_w():
     nav = make_nav(1)
     nav.params["w_u"] = Tensor(np.zeros((DIMS.d_w, DIMS.d_h)))

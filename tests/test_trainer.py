@@ -6,8 +6,8 @@ import pytest
 import bench
 from gradcheck import max_rel_error
 import straightline as sl
-from legacy_ops import (legacy_attacker, legacy_encoding, legacy_numerics,
-                        legacy_untaped_cell)
+from legacy_ops import (legacy_attacker, legacy_cell_inputs, legacy_encoding,
+                        legacy_numerics, legacy_untaped_cell)
 from advnav import diffcore as dc
 from advnav import instruct as ins
 from advnav import trainer as tr
@@ -342,21 +342,26 @@ def test_shared_encodings_are_bound_to_their_tapes():
 
 
 def _count_encoder_work(monkeypatch, nav):
-    """Count the navigator's encoder cells, the token sequences it encodes
-    and the attacker's encodes, as a caller of each sees them."""
-    counts = {"cells": 0, "seqs": set(), "att_encodes": 0}
+    """Count the navigator's encoder cells and input projections, the token
+    sequences it encodes and the attacker's encodes, as a caller of each
+    sees them."""
+    counts = {"cells": 0, "projections": 0, "seqs": set(), "att_encodes": 0}
     cell, nav_encode, att_encode = dc.lstm_cell, Navigator.encode, Attacker.encode
 
     def counting_cell(tape, params, prefix=""):
-        step = cell(tape, params, prefix)
+        project, step = cell(tape, params, prefix)
         if not (prefix.startswith("enc_") and params is nav.params):
-            return step
+            return project, step
+
+        def counting_project(x):
+            counts["projections"] += 1
+            return project(x)
 
         def counting_step(*args):
             counts["cells"] += 1
             return step(*args)
 
-        return counting_step
+        return counting_project, counting_step
 
     def counting_nav_encode(self, tape, tokens, *args, **kwargs):
         counts["seqs"].add(tuple(tokens))
@@ -415,6 +420,35 @@ def test_navigator_update_steps_match_per_rollout_encodings(opponent, monkeypatc
     assert any(np.any(v != 0) for v in new.values())
     for k in old:
         assert max_rel_error(new[k], old[k]) < 1e-9, k
+
+
+def test_updates_match_per_cell_input_products(monkeypatch):
+    # a shared input product sums its cells' gradients before one matmul
+    # backward; in float64 whole clean, learned-attack and random-attack
+    # navigator updates, then attacker updates, on long instructions must
+    # leave the parameters that per-cell products leave
+    items = bench.make_items(bench.LONG, 1)[:6]
+
+    def train():
+        nav, att, nav_val, att_val = make_models(seed=3, dtype=np.float64)
+        cfg, rng, nav_state, att_state = tr.TrainConfig(), np.random.default_rng(5), {}, {}
+        for k, item in enumerate(items):
+            opponent = (None, att, tr._random_attack)[k % 3]
+            tr.navigator_update(item, nav, nav_val, cfg, rng, att=opponent,
+                                opt_state=nav_state)
+        for item in items:
+            tr.attacker_update(item, nav, att, att_val, cfg, rng, att_state)
+        return {f"{name}.{k}": q.values.copy()
+                for name, m in (("nav", nav), ("att", att), ("nav_val", nav_val),
+                                ("att_val", att_val))
+                for k, q in m.params.items()}
+
+    new = train()
+    legacy_cell_inputs(monkeypatch)
+    old = train()
+    assert not all(np.array_equal(new[k], old[k]) for k in old)   # the swap took
+    for k in old:
+        assert max_rel_error(new[k], old[k]) < 1e-12, k
 
 
 def test_navigator_update_imitates_the_teacher_on_both_rollouts(monkeypatch):
@@ -715,30 +749,44 @@ def test_adversarial_train_reproduces_pinned_digests(monkeypatch):
         "426c83733086bfb878699f1c6da8e68c40bc4c9bd54e84f45b170d9e891f4fdf"
 
 
-def test_adversarial_train_pins_shared_encoding_digests():
-    # The same run on the current path.  Encodes that share cells sum the
-    # encoder's gradients in another order than per-rollout encodes, so
-    # these digests differ from the ones above; the float64 parity of
-    # test_navigator_update_steps_match_per_rollout_encodings bounds the gap.
-    # The grid attack score's final softmax sums the masked zeros too, which
-    # moves some float32 joints by an ulp: the attacker's digest changed with
-    # it (test_attacker_update_steps_match_the_per_target_score bounds that
-    # gap), while its greedy picks, and so the navigator's digest, did not.
+def _adversarial_train_digests():
     items = make_items(n_worlds=1, episodes=3)
     nav, att, nav_val, att_val = make_models(seed=7)
     cfg = tr.TrainConfig(n_eta=3, n_pi=2, n_iter=2)
     tr.adversarial_train(items, nav, att, nav_val, att_val, cfg,
                          np.random.default_rng(42))
-    assert params_digest(nav.params) == \
-        "3521ae2a158013b3e1513565521f1ff14176e1b6db1a2e1296dbeaf9180c572d"
-    assert params_digest(att.params) == \
-        "132dd94772be858760db79728010cf52c099c93a07851c326143325cf94f8e82"
+    return params_digest(nav.params), params_digest(att.params)
 
 
-def test_stage_loops_reproduce_pinned_digests(monkeypatch):
-    # Digests as first recorded (numpy 2.4.6, OpenBLAS, x86-64): hardening
-    # against the learned attacker with clean, learned and random updates,
-    # and attacker pretraining, must reproduce them bit for bit
+def test_adversarial_train_pins_shared_encoding_digests(monkeypatch):
+    # The same run with shared cells, each projecting its own input (swapped
+    # back in).  Encodes that share cells sum the encoder's gradients in
+    # another order than per-rollout encodes, so these digests differ from
+    # the ones above; the float64 parity of
+    # test_navigator_update_steps_match_per_rollout_encodings bounds the gap.
+    # The grid attack score's final softmax sums the masked zeros too, which
+    # moves some float32 joints by an ulp: the attacker's digest changed with
+    # it (test_attacker_update_steps_match_the_per_target_score bounds that
+    # gap), while its greedy picks, and so the navigator's digest, did not.
+    legacy_cell_inputs(monkeypatch)
+    assert _adversarial_train_digests() == (
+        "3521ae2a158013b3e1513565521f1ff14176e1b6db1a2e1296dbeaf9180c572d",
+        "132dd94772be858760db79728010cf52c099c93a07851c326143325cf94f8e82")
+
+
+def test_adversarial_train_pins_shared_input_product_digests():
+    # The current path: each token's input products run once per direction
+    # and update, so its cells' gradients sum before one matmul backward
+    # instead of passing through one each; both digests move with that
+    # reorder, and test_updates_match_per_cell_input_products bounds it
+    assert _adversarial_train_digests() == (
+        "977f8d53f0fc1328561e9fbad28f36529e042155e0fb4aa41f273e8e78cb3cdc",
+        "56797132f0684f1711b67b1410530859d6f6274758cdadb6e4fd00f8903de572")
+
+
+def _stage_loop_digests(monkeypatch):
+    # hardening against the learned attacker with clean, learned and random
+    # updates, then attacker pretraining
     items = make_items(n_worlds=1, episodes=3)
     nav, att, nav_val, att_val = make_models()
     nav_update, kinds = tr.navigator_update, []
@@ -752,18 +800,37 @@ def test_stage_loops_reproduce_pinned_digests(monkeypatch):
         tr.train_navigator(items, nav, nav_val, tr.TrainConfig(harden_random=0.5),
                            np.random.default_rng(0), iters=6, att=att)
     assert set(kinds) == {"clean", "learned", "random"}
-    assert params_digest(nav.params) == \
-        "9c99efea2820ea874bb3bab45a1f2888e4e9c82b459618ea2fe6bec50724d3a1"
-    assert params_digest(nav_val.params) == \
-        "f5191f7f0001a4a54b8cf4b4250da5e02109ab29157f5cb1c062836e80023aae"
+    digests = [params_digest(nav.params), params_digest(nav_val.params)]
 
     nav, att, nav_val, att_val = make_models()
     tr.train_attacker(items, nav, att, att_val, tr.TrainConfig(),
                       np.random.default_rng(0), iters=5)
-    assert params_digest(att.params) == \
-        "66b0f1b2bc5eecfc1a3e1c61e761bcdb966995438c599af368c2cabd3be3e979"
-    assert params_digest(att_val.params) == \
-        "98d1d8e37cc06006cd3cb8528c6708939871c26e38a140f990943d03e23f460b"
+    return digests + [params_digest(att.params), params_digest(att_val.params)]
+
+
+def test_stage_loops_reproduce_pinned_digests(monkeypatch):
+    # Digests as first recorded (numpy 2.4.6, OpenBLAS, x86-64), while each
+    # encoder cell projected its own input: with that swapped back in, the
+    # stage loops must reproduce them bit for bit
+    legacy_cell_inputs(monkeypatch)
+    assert _stage_loop_digests(monkeypatch) == [
+        "9c99efea2820ea874bb3bab45a1f2888e4e9c82b459618ea2fe6bec50724d3a1",
+        "f5191f7f0001a4a54b8cf4b4250da5e02109ab29157f5cb1c062836e80023aae",
+        "66b0f1b2bc5eecfc1a3e1c61e761bcdb966995438c599af368c2cabd3be3e979",
+        "98d1d8e37cc06006cd3cb8528c6708939871c26e38a140f990943d03e23f460b"]
+
+
+def test_stage_loops_pin_shared_input_product_digests(monkeypatch):
+    # The current path: a token repeated in an instruction, or kept by a
+    # swap, feeds several cells from one product, so the encoder's gradient
+    # sums regroup and every learned player's digest moves (bounded in
+    # float64 by test_updates_match_per_cell_input_products); the attacker's
+    # critic reads only visual states, which stay bit-identical
+    assert _stage_loop_digests(monkeypatch) == [
+        "4a515ec930ae012f02ae9593e168e9f08f43780df6d4f17d8f06bae5a395ceae",
+        "cce8c6fc996d05178e9cea3dcc2e163027627fa5379d0cc5d731dcf007129397",
+        "a4eacdecba4ce02296d0b4dc25e5cd8093c58597625154b08baf193067cd94ed",
+        "98d1d8e37cc06006cd3cb8528c6708939871c26e38a140f990943d03e23f460b"]
 
 
 def test_train_navigator_hardens_against_a_function_opponent(monkeypatch):
@@ -1053,10 +1120,11 @@ def test_random_draws_only_choose_the_hardening_opponent(monkeypatch):
 
 
 def _rollout_fingerprint(res):
-    """Hash what a rollout records: tape length, each navigator transition's
-    action, reward, teacher, attacked target and which taped outputs it
-    carries, the attacker's rewards, and the trace rows' keys and bytes."""
-    h = hashlib.sha256(repr(None if res.tape is None else len(res.tape)).encode())
+    """A rollout's tape length (None untaped), and a hash of what it
+    records: each navigator transition's action, reward, teacher, attacked
+    target and which taped outputs it carries, the attacker's rewards, and
+    the trace rows' keys and bytes."""
+    h = hashlib.sha256()
     for trn in res.nav_buffer.transitions:
         h.update(repr((trn.action, trn.reward, trn.teacher, trn.attacked_target,
                        trn.dist is not None, trn.value_out is not None,
@@ -1069,42 +1137,57 @@ def _rollout_fingerprint(res):
             value = np.asarray(value)
             h.update(repr((key, value.dtype.str, value.shape)).encode())
             h.update(value.tobytes())
-    return h.hexdigest()[:16]
+    return None if res.tape is None else len(res.tape), h.hexdigest()[:16]
 
 
-ROLLOUT_FINGERPRINTS = {
-    ("eval", "clean"): ["4f4afe8151771694", "15b160e2639fcfc2", "6fd23bfaac435333"],
-    ("eval", "learned"): ["75c6c092c5cc966e", "657f4c909683dfaa", "0b6e04f202bae453"],
-    ("eval", "random"): ["c61efea3e88a272e", "1e85beeef063a1c1", "63345489e896539a"],
-    ("nav_learn", "clean"): ["94715777de68f0cd", "e638949b9c3ca006", "99d5653ba4597efd"],
-    ("nav_learn", "learned"): ["be5794a4b55084ae", "6f64fe62763a0bb7", "37b056a76aa2c695"],
-    ("nav_learn", "random"): ["d2df6112ca508419", "60c292a5bcd72a49", "cfb03b3d333b5f2a"],
-    ("nav_teacher", "clean"): ["cfd4589d39634b76", "0eb39f4cdcd42d11", "3ba362e01736d6be"],
-    ("nav_teacher", "learned"): ["24523ae456677b41", "e1f672a3b0868f53", "a0d46796467cbb20"],
-    ("nav_teacher", "random"): ["18a4c74ba6d7b633", "3df4fbeb28eee3f5", "11f6e349d3bf3523"],
-    ("att_learn", "learned"): ["7aea27b3d1433a44", "a0f3195b8b8fa7d6", "06b0aafa9de087ec"],
+# recorded (numpy 2.4.6, OpenBLAS, x86-64) while each taped encoder cell
+# still projected its own input, so 25 entries a cell
+ROLLOUT_MOVES = {
+    ("att_learn", "learned"): ["56c5af102c2a2f54", "0ce18383f41c408d", "42678b71435f9fa3"],
+    ("eval", "clean"): ["a3fd4759b291f958", "49d21f5b71607c04", "76b4fbfb147bb97c"],
+    ("eval", "learned"): ["29ccc1f3eafd3515", "96f60a4926ed0a4b", "a6cd5449a3e54c4b"],
+    ("eval", "random"): ["9198ffb54aa21598", "360bfdebc0b112e9", "939e9ff2b3a353df"],
+    ("nav_learn", "clean"): ["afefbf185f9a80c1", "1a8dda38a4277b29", "d5039573796da668"],
+    ("nav_learn", "learned"): ["7e646985ad316b88", "eb76ce46f923b528", "5714f25fbe8d4545"],
+    ("nav_learn", "random"): ["ce1606cfe15f937f", "394a610f7be884a7", "31047cbf93e1a8b7"],
+    ("nav_teacher", "clean"): ["429a3b21d83fdc6a", "cea04e7d97f26018", "8b6cb0b57ddd584e"],
+    ("nav_teacher", "learned"): ["fbec5bcd2f0ee9b5", "79b1c708244f73d4", "374a33ab3f2ae382"],
+    ("nav_teacher", "random"): ["b92e41669f352e23", "6941aa3d5e6bbb8d", "5d0e388596527e22"],
+}
+
+# the taped rollouts' lengths once a cell is 17 entries and each token's
+# input products 4 more per direction; untaped rollouts record no tape
+ROLLOUT_TAPE_LENGTHS = {
+    ("att_learn", "learned"): [890, 962, 899],
+    ("nav_learn", "clean"): [901, 1297, 910],
+    ("nav_learn", "learned"): [905, 2314, 914],
+    ("nav_learn", "random"): [1679, 4786, 2083],
+    ("nav_teacher", "clean"): [968, 995, 977],
+    ("nav_teacher", "learned"): [1426, 1504, 1520],
+    ("nav_teacher", "random"): [2059, 2035, 2068],
 }
 
 
-@pytest.mark.parametrize("mode,opponent", sorted(ROLLOUT_FINGERPRINTS))
+@pytest.mark.parametrize("mode,opponent", sorted(ROLLOUT_MOVES))
 def test_rollouts_reproduce_pinned_fingerprints(mode, opponent):
-    # every mode with every opponent it accepts, pinned (numpy 2.4.6, OpenBLAS,
-    # x86-64) before the step loop was reorganised: the rollouts must record
-    # the same moves, bit for bit.  The clean pins have no attacked-word head
-    # on their steps: 4 fewer tape entries a step and no p_c/predicted_target
-    # trace keys, with every move and every other trace value unchanged
+    # every mode with every opponent it accepts: the rollouts must record
+    # the same moves and trace values, bit for bit, however the tape is
+    # built; a tape's length changes only with the op count of its cells
     items = make_items()[:3]
     nav, att, nav_val, att_val = make_models()
     values = {"nav_learn": dict(nav_value=nav_val), "att_learn": dict(att_value=att_val)}
-    digests = []
+    lengths, moves = [], []
     for i, item in enumerate(items):
         res = tr.rollout_episode(
             item, nav, {"clean": None, "learned": att, "random": tr._random_attack}[opponent],
             mode, np.random.default_rng([3, i]), tr.TrainConfig(),
             record_trace=True, **values.get(mode, {}))
-        digests.append(_rollout_fingerprint(res))
+        length, moved = _rollout_fingerprint(res)
+        lengths.append(length)
+        moves.append(moved)
         if mode == "att_learn":
             n = item.instruction.n_targets
             assert [trn.action // n for trn in res.att_buffer.transitions] == \
                 [trn.attacked_target for trn in res.nav_buffer.transitions]
-    assert digests == ROLLOUT_FINGERPRINTS[mode, opponent]
+    assert moves == ROLLOUT_MOVES[mode, opponent]
+    assert lengths == ROLLOUT_TAPE_LENGTHS.get((mode, opponent), [None] * len(items))
