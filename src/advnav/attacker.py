@@ -3,8 +3,8 @@
 The attacker owns its instruction encoder parameters (the navigator's
 BiLSTM form, never shared with the victim) and always encodes the original
 instruction.  Each step scores the instruction's L'×L' target grid: cell
-(j, i) stands for replacing target j with target i's word, and
-``Instruction.valid`` marks the cells that change the word.  A
+(j, i), the flat cell j * L' + i of ``instruct``, puts target i's word at
+target j, and ``Instruction.valid`` marks the cells that change the word.  A
 word-importance distribution over targets is driven by the current
 attended visual feature, a per-row substitution-impact distribution runs
 over each target's valid cells, and the joint distribution over the grid
@@ -33,9 +33,9 @@ class AttackerEncoding:
 
 @dataclass(frozen=True)
 class AttackScore:
-    """One step's scores over the target grid; cell (j, i) of ``gamma`` and
-    of ``p_flat`` is ``AttackAction(j, i)``.  It holds no pick: the rollout
-    takes one from ``p_flat``."""
+    """One step's scores over the target grid; entry (j, i) of ``gamma`` and
+    of ``p_flat`` is flat cell j * L' + i.  It holds no pick: the rollout
+    takes a cell from ``p_flat``."""
     beta: np.ndarray           # (L',) word importance
     gamma: np.ndarray          # (L', L') substitution impact in the model dtype
     valid: np.ndarray          # (L', L') bool mask of real cells

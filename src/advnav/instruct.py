@@ -4,21 +4,22 @@ Instructions are templated walks along an episode's ground-truth path:
 direction and filler words interleaved with the object/location landmark
 words of the nodes being passed, ending with the goal's landmarks.  The
 positions open to attack (the target set) are all the object and location
-tokens, wherever they stand.  A substitution replaces target j's word with
-another target's word of the same instruction, so every attack is a cell
-(j, i) of the L'×L' target grid, and ``Instruction.valid`` marks the cells
-that change the word.  Every instruction has at least two targets and a
-valid cell in every grid row, so every step can be attacked; generated ones
-always do, as the goal names an object and a location, two different words.
-A perturbation swaps one target token of the original sequence;
-perturbations never compound across timesteps.
+tokens, wherever they stand.  Putting target i's word at target j is cell
+(j, i) of the L'×L' target grid.  From the opponent to the record a cell is
+one flat integer, ``j * L' + i``, and only ``apply_perturbation`` decodes
+it; ``Instruction.valid`` marks the cells that change the word.  Every
+instruction has at least two targets and a valid cell in every grid row, so
+every step can be attacked; generated ones always do, as the goal names an
+object and a location, two different words.  A perturbation swaps one
+target token of the original sequence; perturbations never compound across
+timesteps.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,34 +79,31 @@ def build_vocabulary() -> Vocabulary:
     return vocab
 
 
-class AttackAction(NamedTuple):
-    target_index: int       # j in [0, L'): the target whose word is replaced
-    source_index: int       # i in [0, L'): the target whose word replaces it
-
-
 @dataclass(frozen=True)
 class Instruction:
     """Construction raises ``ValueError`` unless ``tokens`` and ``target_set``
-    are tuples, there are at least two targets, at increasing positions of
-    ``tokens``, and ``valid`` is an L'×L' grid with a valid cell in every row
-    and none that swaps a word for itself; ``valid`` is kept as a read-only
-    copy."""
+    are tuples of non-negative integers, there are at least two targets, at
+    increasing positions of ``tokens``, and ``valid`` is an L'×L' grid with a
+    valid cell in every row and none that swaps a word for itself; ``valid``
+    is kept as a read-only copy."""
     tokens: tuple
     target_set: tuple                     # positions of object/location tokens
     # (L', L') read-only bool: cell (j, i) may put target i's word at target j
     valid: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if not (type(self.tokens) is tuple and type(self.target_set) is tuple):
+        tokens, pos = self.tokens, self.target_set
+        if not (type(tokens) is tuple and type(pos) is tuple):
             raise ValueError("tokens and target_set must be tuples, so an instruction hashes")
+        if not all(isinstance(x, numbers.Integral) and x >= 0 for x in tokens + pos):
+            raise ValueError("tokens and target positions must be non-negative integers")
         n, valid = self.n_targets, np.array(self.valid, dtype=bool)
         if n < 2 or valid.shape != (n, n) or not valid.any(axis=1).all():
             raise ValueError(f"{n} targets and a {valid.shape} grid: an instruction needs "
                              "two or more targets and an L'×L' grid with no empty row")
-        pos = self.target_set
-        if pos[0] < 0 or pos[-1] >= len(self.tokens) or any(a >= b for a, b in zip(pos, pos[1:])):
+        if pos[-1] >= len(tokens) or any(a >= b for a, b in zip(pos, pos[1:])):
             raise ValueError(f"target positions {pos} do not increase within the tokens")
-        words = np.array([self.tokens[p] for p in pos])
+        words = np.array([tokens[p] for p in pos])
         if (valid & (words[:, None] == words[None, :])).any():
             raise ValueError("a valid cell swaps a target's word for the same word")
         valid.flags.writeable = False
@@ -116,8 +114,8 @@ class Instruction:
         return len(self.target_set)
 
     def valid_actions(self):
-        """Valid grid cells in row-major order."""
-        return [AttackAction(int(j), int(i)) for j, i in np.argwhere(self.valid)]
+        """The flat cells of ``valid``, ascending (row-major)."""
+        return np.flatnonzero(self.valid).tolist()
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,11 @@ def make_instruction(tokens, vocab: Vocabulary) -> Instruction:
     """Cell (j, i) of ``valid`` is true when target i's word differs from
     target j's and i is the first target carrying that word, so every
     substitution changes the word and each word is offered once per row.
-    Raises ``ValueError`` unless the targets carry two different words."""
+    Raises ``ValueError`` unless the tokens are ids of ``vocab`` and the
+    targets carry two different words."""
     tokens = tuple(tokens)
+    if not all(isinstance(t, numbers.Integral) and 0 <= t < len(vocab) for t in tokens):
+        raise ValueError(f"token ids must be integers in [0, {len(vocab)})")
     targets = build_target_set(tokens, vocab)
     words = np.array([tokens[p] for p in targets], dtype=np.int64)
     first = np.zeros(len(targets), dtype=bool)
@@ -153,16 +154,15 @@ def make_instruction(tokens, vocab: Vocabulary) -> Instruction:
     return Instruction(tokens=tokens, target_set=targets, valid=valid)
 
 
-def apply_perturbation(instr: Instruction, action: AttackAction,
-                       timestep: int) -> PerturbedInstruction:
-    """Substitute one target word of the original tokens; never compounds."""
-    j, i = action.target_index, action.source_index
+def apply_perturbation(instr: Instruction, cell: int, timestep: int) -> PerturbedInstruction:
+    """Put target i's word at target j of the original tokens for ``cell``
+    ``j * L' + i``; raises ``ValueError`` unless it is an integer on ``valid``."""
     n = instr.n_targets
-    if not (0 <= j < n and 0 <= i < n and instr.valid[j, i]):
-        raise ValueError(f"attack cell {(j, i)} is not a valid substitution")
+    if not (isinstance(cell, numbers.Integral) and 0 <= cell < n * n and instr.valid.flat[cell]):
+        raise ValueError(f"attack cell {cell!r} is not a valid substitution")
+    j, i = divmod(cell, n)
     return PerturbedInstruction(base=instr, position=instr.target_set[j],
-                                token=instr.tokens[instr.target_set[i]],
-                                timestep=timestep)
+                                token=instr.tokens[instr.target_set[i]], timestep=timestep)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from . import world as wd
 from .attacker import Attacker, AttackerEncoding
 from .checkpoint import params_digest
 from .diffcore import Tape, Tensor
-from .instruct import AttackAction, Instruction, apply_perturbation
+from .instruct import Instruction, apply_perturbation
 from .navigator import Navigator, greedy_action, sample_action
 
 
@@ -108,8 +108,8 @@ class ValueNet:
 
 @dataclass
 class Transition:
-    action: int     # the navigator's action, or the attacker's flat cell j * L' + i
-                    # picked from ``p_flat``: either way it indexes ``dist``
+    action: int     # the navigator's action, or the attacker's cell (as in
+                    # ``instruct``): either way it indexes ``dist``
     reward: float
     dist: Optional[Tensor] = None        # taped distribution for the learner
     value_out: Optional[Tensor] = None   # the critic's estimate, when one ran
@@ -162,20 +162,20 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
 
     ``att`` is the opponent, and every step is attacked exactly when there
     is one: ``None`` runs clean, the learned ``Attacker`` scores the target
-    grid, and a function ``f(instruction, rng) -> AttackAction`` returns a
-    valid cell (j, i) of ``instruction.valid`` (random substitutions,
-    ``_random_attack``, are one; ``train_navigator`` hardens against any).
+    grid, and a function ``f(instruction, rng) -> cell`` returns a valid cell
+    of ``instruction`` (random substitutions, ``_random_attack``, are one;
+    ``train_navigator`` hardens against any).
     ``mode`` fixes each player's role once, at entry: 'nav_learn' tapes and
     samples the navigator (the opponent is frozen and greedy),
     'nav_teacher' tapes the navigator but follows and supervises the
     shortest-path teacher, 'att_learn' tapes and samples the learned
     attacker (navigator frozen and greedy), and 'eval' freezes both.  Both
     players pick alike, a draw when learning and else the argmax (ties to
-    the lowest index); the learned attacker picks from ``p_flat``, and its
-    transition records the flat cell j * L' + i, as a function opponent's
-    does.  Each step records the attacker's move, then the navigator's, as
-    each is made; ``p_c`` runs only on attacked steps, for a taped
-    navigator or a trace.  The navigator is paid what ``world.step``
+    the lowest index); the learned attacker picks its cell from ``p_flat``.
+    The attacker's transition records the cell, the navigator's its row j as
+    the attacked word.  Each step records the attacker's move, then the
+    navigator's, as each is made; ``p_c`` runs only on attacked steps, for a
+    taped navigator or a trace.  The navigator is paid what ``world.step``
     returns, the attacker its negation, and both buffers' success is the
     last episode's.
     'att_learn' refuses any opponent but an ``Attacker``, and the sampling
@@ -221,22 +221,20 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         _, f_v = nav.visual_attention(nav_tape, views, state)
         s_t = f_v.values.reshape(-1).copy()
 
-        action_att, pert, tokens_t = None, None, instr.tokens
+        cell, pert, tokens_t = None, None, instr.tokens
         if attacking:
             if learned:
                 score = att.attack_score(att_tape, encs.att, s_t)
                 cell = sample_action(score.p_flat, rng) if att_learns \
                     else greedy_action(score.p_flat)
-                action_att = AttackAction(*divmod(cell, instr.n_targets))
             else:
-                action_att = att(instr, rng)
-                cell = action_att.target_index * instr.n_targets + action_att.source_index
+                cell = att(instr, rng)
             att_tr = Transition(action=cell, reward=0.0)
             if att_learns:
                 att_tr.dist = score.p_flat
                 att_tr.value_out = att_value.forward(att_tape, s_t)
             att_buf.transitions.append(att_tr)
-            pert = apply_perturbation(instr, action_att, ep.step_index)
+            pert = apply_perturbation(instr, cell, ep.step_index)
             tokens_t = pert.tokens
 
         if tokens_t not in encs.nav:
@@ -249,7 +247,7 @@ def rollout_episode(item, nav: Navigator, att: Union[Attacker, Callable, None], 
         teacher = wd.teacher_action(ep)
         nav_tr = Transition(
             action=teacher, reward=0.0, teacher=teacher, use_rl=nav_pick != "teacher",
-            attacked_target=None if action_att is None else action_att.target_index)
+            attacked_target=None if cell is None else cell // instr.n_targets)
         if nav_pick == "greedy":
             nav_tr.action = greedy_action(out.p_n)
         else:
@@ -397,8 +395,8 @@ def _pick(items, rng):
 
 
 def _random_attack(instruction, rng):
-    acts = instruction.valid_actions()
-    return acts[int(rng.integers(len(acts)))]
+    cells = instruction.valid_actions()
+    return cells[int(rng.integers(len(cells)))]
 
 
 def validate_navigator(items, nav, cfg, att=None, seed=0):

@@ -257,8 +257,8 @@ def step(ep: Episode, action: int) -> tuple:
     if ep.done:
         raise ValueError("episode already done")
     nbrs = ep.world.neighbors[ep.current]
-    if not 0 <= action <= len(nbrs):
-        raise ValueError(f"action {action} out of range 0..{len(nbrs)}")
+    if not (isinstance(action, numbers.Integral) and 0 <= action <= len(nbrs)):
+        raise ValueError(f"action {action!r} is not an integer in 0..{len(nbrs)}")
     if action == STOP_ACTION:
         nxt = replace(ep, done=True)
     else:

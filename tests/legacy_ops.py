@@ -22,7 +22,7 @@ receives its gradients in the same order, so the swap gives its bits.
 
 Instructions carried per-target candidate lists (``build_candidate_sets``),
 and attacks were (target, candidate) pairs (j, k) into them.
-``candidate_cells`` reads those pairs as target-grid cells (j, i).
+``candidate_cells`` reads those pairs as flat target-grid cells j * L' + i.
 
 The attack score looped over those lists, six ops per target, on a flat
 (sum K_j, 1) layout of the valid cells; ``legacy_attacker`` swaps that
@@ -52,7 +52,6 @@ from advnav import diffcore as dc
 from advnav import navigator
 from advnav import trainer
 from advnav.diffcore import Tensor
-from advnav.instruct import AttackAction
 
 
 def _ones(shape, dtype):
@@ -209,9 +208,10 @@ def build_candidate_sets(tokens, target_set) -> tuple:
 
 def candidate_cells(instr):
     """The (j, k) actions of ``instr``'s candidate lists, in their order, as
-    grid cells (j, i): i is the target the candidate word was taken from."""
+    flat grid cells j * L' + i: i is the target the candidate word was taken
+    from."""
     column = {pos: i for i, pos in enumerate(instr.target_set)}
-    return [(j, column[c.source_pos])
+    return [j * instr.n_targets + column[c.source_pos]
             for j, cands in enumerate(build_candidate_sets(instr.tokens, instr.target_set))
             for c in cands]
 
@@ -265,7 +265,7 @@ def attack_score(self, tape, enc, visual_state):
     p_cand = dc.softmax(tape, flat)
 
     n = instr.n_targets
-    cells = tuple(j * n + i for j, i in candidate_cells(instr))
+    cells = tuple(candidate_cells(instr))
     scatter = np.zeros((n * n, len(cells)))
     scatter[cells, np.arange(len(cells))] = 1.0
     p_flat = dc.matmul(tape, dc.constant(scatter, dtype=self.dtype), p_cand)
@@ -278,12 +278,12 @@ def attack_score(self, tape, enc, visual_state):
 
 
 def select_attack(score, mode, rng=None):
-    """Greedy or sampled pick on the flat (j, k) layout, as a grid cell."""
+    """Greedy or sampled pick on the flat (j, k) layout, as a flat grid cell."""
     flat = score.p_flat.values.reshape(-1)[list(score.cells)]
     p_cand = Tensor(flat.reshape(1, -1), dtype=flat.dtype)
     row = navigator.greedy_action(p_cand) if mode == "greedy" \
         else navigator.sample_action(p_cand, rng)
-    return AttackAction(*divmod(score.cells[row], score.valid.shape[1]))
+    return score.cells[row]
 
 
 def legacy_attacker(monkeypatch):

@@ -3,8 +3,8 @@
 Checked with ``ast`` against the non-test sources of ``src/advnav`` and
 ``perfbench``:
 
-* every public top-level function is referenced by name somewhere other
-  than inside its own definition;
+* every public top-level function and class is referenced by name
+  somewhere other than inside its own definition;
 * every public method, property and class-level field (dataclass and
   NamedTuple fields) is read as ``.name``.
 
@@ -29,7 +29,7 @@ ALLOWED = {
 
 class _Reads(ast.NodeVisitor):
     """Names loaded bare (``f``) and as attributes (``x.f``), leaving out
-    reads of a function's own name inside its body."""
+    reads of a function's or a class's own name inside its body."""
 
     def __init__(self):
         self.names, self.attrs, self._defs = set(), set(), []
@@ -38,6 +38,8 @@ class _Reads(ast.NodeVisitor):
         self._defs.append(node.name)
         self.generic_visit(node)
         self._defs.pop()
+
+    visit_ClassDef = visit_FunctionDef
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load) and node.id not in self._defs:
@@ -50,11 +52,11 @@ class _Reads(ast.NodeVisitor):
 
 
 def _public_api(tree):
-    """(qualified name, bare name, is a top-level function) per public name."""
+    """(qualified name, bare name, is top-level) per public name."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.name, True
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     name = item.name
@@ -74,8 +76,8 @@ def unreached_public_names():
     reads = _Reads()
     for tree in trees.values():
         reads.visit(tree)
-    return {qual for p in package for qual, name, is_function in _public_api(trees[p])
-            if name not in (reads.names | reads.attrs if is_function else reads.attrs)}
+    return {qual for p in package for qual, name, top_level in _public_api(trees[p])
+            if name not in (reads.names | reads.attrs if top_level else reads.attrs)}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

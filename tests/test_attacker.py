@@ -35,9 +35,8 @@ def instr_of(vocab, text):
 def rollout_pick(score, mode, rng=None):
     """The cell ``rollout_episode`` picks for the learned attacker: a draw
     from ``p_flat`` when it learns ('sample'), else the argmax."""
-    cell = sample_action(score.p_flat, rng) if mode == "sample" \
+    return sample_action(score.p_flat, rng) if mode == "sample" \
         else greedy_action(score.p_flat)
-    return ins.AttackAction(*divmod(cell, score.valid.shape[1]))
 
 
 def test_zero_projections_give_uniform_everything(vocab):
@@ -186,7 +185,7 @@ def test_select_degenerate_distribution(vocab):
     score.p_flat.values = one_hot
     rng = np.random.default_rng(0)
     assert rollout_pick(score, "greedy") == rollout_pick(score, "sample", rng)
-    assert rollout_pick(score, "greedy") == ins.AttackAction(1, 0)
+    assert rollout_pick(score, "greedy") == 2   # cell (1, 0) of the 2×2 grid
 
 
 def test_greedy_tie_breaks_to_lowest_flat_index(vocab):
@@ -198,7 +197,7 @@ def test_greedy_tie_breaks_to_lowest_flat_index(vocab):
     flat = np.where(score.valid, 0.1, 0.0).reshape(-1)
     flat[cells[[2, 5]]] = 0.3  # the third and sixth valid cells tie
     score.p_flat.values = flat.reshape(score.valid.shape)
-    assert rollout_pick(score, "greedy") == ins.AttackAction(*divmod(cells[2], 3))
+    assert rollout_pick(score, "greedy") == cells[2]
 
 
 def test_uniform_sampling_frequencies(vocab):

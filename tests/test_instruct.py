@@ -50,7 +50,8 @@ def test_candidates_are_remaining_targets(vocab):
     names = [vocab.word(tokens[i]) for i in instr.target_set]
     assert names == ["table", "kitchen", "sofa"]
     assert [names[i] for i in np.flatnonzero(instr.valid[0])] == ["kitchen", "sofa"]
-    for j, i in instr.valid_actions():
+    for cell in instr.valid_actions():
+        j, i = divmod(cell, instr.n_targets)
         assert tokens[instr.target_set[i]] != tokens[instr.target_set[j]]
 
 
@@ -74,7 +75,7 @@ def test_duplicate_targets_deduplicated(vocab):
 def test_apply_perturbation_single_substitution(vocab):
     tokens = toks(vocab, "walk past the table into the kitchen")
     instr = ins.make_instruction(tokens, vocab)
-    pert = ins.apply_perturbation(instr, ins.AttackAction(0, 1), timestep=0)
+    pert = ins.apply_perturbation(instr, 1, timestep=0)     # cell (0, 1)
     changed = [i for i, (a, b) in enumerate(zip(instr.tokens, pert.tokens)) if a != b]
     assert changed == [instr.target_set[0]]
     assert vocab.word(pert.tokens[changed[0]]) == "kitchen"
@@ -83,8 +84,8 @@ def test_apply_perturbation_single_substitution(vocab):
 def test_perturbations_never_compound(vocab):
     tokens = toks(vocab, "go to the table in the kitchen with the sofa")
     instr = ins.make_instruction(tokens, vocab)
-    p0 = ins.apply_perturbation(instr, ins.AttackAction(0, 1), timestep=0)
-    p1 = ins.apply_perturbation(instr, ins.AttackAction(2, 1), timestep=1)
+    p0 = ins.apply_perturbation(instr, 1, timestep=0)       # cell (0, 1)
+    p1 = ins.apply_perturbation(instr, 7, timestep=1)       # cell (2, 1)
     for p in (p0, p1):
         diff = sum(a != b for a, b in zip(instr.tokens, p.tokens))
         assert diff == 1
@@ -96,7 +97,7 @@ def test_all_valid_actions_have_hamming_distance_one(vocab):
     for action in instr.valid_actions():
         pert = ins.apply_perturbation(instr, action, timestep=0)
         assert sum(a != b for a, b in zip(instr.tokens, pert.tokens)) == 1
-        assert instr.target_set[action.target_index] == pert.position
+        assert instr.target_set[action // instr.n_targets] == pert.position
 
 
 def test_substitutes_preserve_landmark_class(vocab, setup):
@@ -114,11 +115,10 @@ def test_invalid_action_rejected(vocab):
         toks(vocab, "go to the table then the kitchen then the table"), vocab)
     # out of range, a target onto itself, and off-grid cells (the same word,
     # and a repeated word's second column)
-    for bad, action in [(instr, (5, 0)), (instr, (0, 3)), (instr, (-1, 0)),
-                        (instr, (0, -1)), (instr, (0, 0)), (instr, (1, 1)),
-                        (dup, (0, 2)), (dup, (1, 2))]:
+    for bad, cell in [(instr, 10), (instr, 4), (instr, -1), (instr, 0), (instr, 3),
+                      (dup, 2), (dup, 5)]:
         with pytest.raises(ValueError):
-            ins.apply_perturbation(bad, ins.AttackAction(*action), 0)
+            ins.apply_perturbation(bad, cell, 0)
 
 
 def test_valid_grid_is_read_only_and_left_out_of_equality(vocab):
@@ -252,7 +252,7 @@ def test_instruction_refuses_too_few_targets_or_a_misshapen_grid(vocab):
 def test_instruction_refuses_misplaced_targets_or_same_word_cells(vocab):
     base = ins.make_instruction(toks(vocab, "walk past the table into the kitchen"), vocab)
     first, second = base.target_set
-    for targets in ((first, 99), (-1, second), (second, first), (first, first)):
+    for targets in ((first, 99), (second, first), (first, first)):
         with pytest.raises(ValueError, match="do not increase"):
             ins.Instruction(tokens=base.tokens, target_set=targets, valid=base.valid)
     # (0, 1) would put "table" at a "table": no perturbation at all
@@ -260,6 +260,23 @@ def test_instruction_refuses_misplaced_targets_or_same_word_cells(vocab):
     with pytest.raises(ValueError, match="same word"):
         ins.Instruction(tokens=toks(vocab, "table table kitchen"), target_set=(0, 1, 2),
                         valid=valid)
+
+
+def test_tokens_and_targets_must_be_non_negative_integers(vocab):
+    # -1 would index the vocabulary's last word, and a float is no word id
+    base = ins.make_instruction(toks(vocab, "walk past the table into the kitchen"), vocab)
+    for tokens in ((-1,) + base.tokens, (len(vocab),) + base.tokens,
+                   tuple(float(t) for t in base.tokens)):
+        with pytest.raises(ValueError, match="token ids"):
+            ins.make_instruction(tokens, vocab)
+    first, second = base.target_set
+    for tokens, targets in (((-1,) + base.tokens[1:], base.target_set),
+                            (tuple(float(t) for t in base.tokens), base.target_set),
+                            (base.tokens, (float(first), float(second))),
+                            (base.tokens, (-1, second))):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            ins.Instruction(tokens=tokens, target_set=targets, valid=base.valid)
+    assert ins.make_instruction(tuple(np.int64(t) for t in base.tokens), vocab) == base
 
 
 def test_directly_built_grid_is_a_read_only_copy(vocab):

@@ -93,13 +93,25 @@ def _check_walk(g, ep, draw):
 
 
 def _check_attacks(instr):
-    vocab = ins.build_vocabulary()
-    for action in instr.valid_actions():
-        pert = ins.apply_perturbation(instr, action, timestep=0)
+    """Each valid flat cell j * L' + i puts target i's word at target j, a
+    numpy integer alike; anything else is refused."""
+    vocab, n = ins.build_vocabulary(), instr.n_targets
+    cells = instr.valid_actions()
+    assert cells == np.flatnonzero(instr.valid).tolist()
+    for cell in cells:
+        pert = ins.apply_perturbation(instr, cell, timestep=0)
+        assert pert == ins.apply_perturbation(instr, np.int64(cell), timestep=0)
+        assert pert.position == instr.target_set[cell // n]
+        assert pert.token == instr.tokens[instr.target_set[cell % n]]
         changed = [i for i, (a, b) in enumerate(zip(instr.tokens, pert.tokens)) if a != b]
-        assert changed == [instr.target_set[action.target_index]]
+        assert changed == [pert.position]
         old, new = instr.tokens[changed[0]], pert.tokens[changed[0]]
         assert vocab.is_landmark(old) and vocab.is_landmark(new) and old != new
+    refused = [c for c in range(-1, n * n + 1) if c not in cells] + [1.0, None]
+    refused += [np.float64(c) for c in cells] + [divmod(c, n) for c in cells]
+    for cell in refused:
+        with pytest.raises(ValueError, match="attack cell"):
+            ins.apply_perturbation(instr, cell, timestep=0)
 
 
 world_kwargs = st.fixed_dictionaries({

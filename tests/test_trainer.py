@@ -283,6 +283,26 @@ def test_att_learn_needs_the_learned_attacker_and_no_attack_fn():
         tr.rollout_episode(item, nav, att, "eval", rng, cfg, attack_fn=tr._random_attack)
 
 
+@pytest.mark.parametrize("answer", [lambda cell, n: float(cell), divmod,
+                                    lambda cell, n: 0, lambda cell, n: n * n],
+                         ids=["float", "pair", "diagonal", "past_the_grid"])
+def test_a_function_opponent_must_return_a_valid_cell(answer):
+    # a float or a (j, i) pair is no cell, a diagonal cell swaps a word for
+    # itself, and n * n lies past the grid
+    item = make_items()[0]
+    nav = make_models()[0]
+    calls = []
+
+    def opponent(instruction, rng):
+        calls.append(instruction)
+        return answer(instruction.valid_actions()[0], instruction.n_targets)
+
+    with pytest.raises(ValueError, match="attack cell"):
+        tr.rollout_episode(item, nav, opponent, "eval", np.random.default_rng(0),
+                           tr.TrainConfig())
+    assert calls == [item.instruction]
+
+
 @pytest.mark.parametrize("mode", ["nav_learn", "att_learn"])
 def test_learning_modes_refuse_a_missing_value_net_up_front(mode, monkeypatch):
     item = make_items()[0]
@@ -839,8 +859,8 @@ def test_train_navigator_hardens_against_a_function_opponent(monkeypatch):
     picked, seen, rollout = [], [], tr.rollout_episode
 
     def last_cell(instruction, rng):
-        picked.append(instruction.valid_actions()[-1])
-        return picked[-1]
+        picked.append((instruction.valid_actions()[-1], instruction.n_targets))
+        return picked[-1][0]
 
     def recording(*args, **kwargs):
         seen.append(rollout(*args, **kwargs))
@@ -855,7 +875,7 @@ def test_train_navigator_hardens_against_a_function_opponent(monkeypatch):
     # every step by the cell the function returned there
     assert [res.nav_buffer.transitions[0].use_rl for res in seen] == [False, True] * 3
     steps = [trn for res in seen for trn in res.nav_buffer.transitions]
-    assert [trn.attacked_target for trn in steps] == [a.target_index for a in picked]
+    assert [trn.attacked_target for trn in steps] == [cell // n for cell, n in picked]
     assert params_digest(nav.params) != before
 
     picked.clear()

@@ -148,8 +148,11 @@ def test_horizon_forces_done():
 def test_invalid_action_rejected():
     g = small_world(seed=0)
     ep = w.make_episode(g, 0, 5)
-    with pytest.raises(ValueError):
-        w.step(ep, len(g.neighbors[0]) + 1)
+    # an action is an integer: 0.0 equals STOP_ACTION, yet is no action
+    for action in (len(g.neighbors[0]) + 1, -1, 0.0, 1.0, np.float64(1), "1", None):
+        with pytest.raises(ValueError, match="not an integer in"):
+            w.step(ep, action)
+    assert w.step(ep, np.int64(1)) == w.step(ep, 1)
 
 
 def test_trajectory_is_a_graph_path():
